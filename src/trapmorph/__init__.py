@@ -8,7 +8,6 @@ the ready-made experiments.
 
 from .errors import TrapMorphError
 from .grid import SpatialGrid
-from .kernels import BACKEND as kernel_backend
 from .potential import (DeformationPath, PotentialParams, WellGeometry,
                         bias_for_target, geometry, max_target_bound,
                         path_for_target, quanta_number, small_bias_check)
@@ -24,6 +23,9 @@ from .scans import (Preset, ScanResult, ScanRow, beryllium_preset,
 from .units import AMU_SI, HBAR_SI, UnitSystem, beryllium_units
 
 __version__ = "0.1.0"
+
+# the phase kernels are plain numpy; kept as a name for result records
+kernel_backend = "numpy"
 
 __all__ = [
     "AMU_SI", "AdiabaticityProfile", "DeformationPath", "Drive", "EigenSet",

@@ -174,7 +174,7 @@ def cmd_scan(args) -> int:
 
         result = run_scan(preset, args.method, tfs,
                           include_ground=args.superposition,
-                          jobs=args.jobs, cache_dir=args.cache_dir,
+                          cache_dir=args.cache_dir,
                           progress=progress)
     if args.plot_script:
         with open(args.plot_script, "w") as pfp:
@@ -247,7 +247,8 @@ def _build_parser():
                     help="also propagate the ground state (F_0 column)")
     ps.add_argument("--demux", action="store_true",
                     help="forward/backward fidelity pair at a single --tf")
-    ps.add_argument("--jobs", type=int, default=1, help="parallel rows")
+    ps.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; rows run serially")
     ps.add_argument("--out", default=None, help="CSV path")
     ps.add_argument("--plot-script", default=None,
                     help="write a gnuplot command file referencing the CSV")

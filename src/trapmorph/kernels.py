@@ -1,52 +1,18 @@
-"""Backend selection for the propagation hot loops.
+"""Phase kernels for the propagation hot loop.
 
-The compiled Cython kernels are used when the extension built; otherwise
-the numpy fallbacks take over transparently.  Override with the environment
-variable TRAPMORPH_KERNELS = auto | numpy | cython ("cython" raises if the
-extension is missing instead of falling back - useful in benchmarks/CI).
-
-Both backends mutate the complex wavefunction in place; the compiled ones
-take float64 views of it, which is what the thin wrappers below arrange.
+Both mutate the complex wavefunction in place and return None; each
+allocates one temporary per call.  `propagate` calls them through this
+module, so a profiler can wrap them by name.
 """
-
-import os
 
 import numpy as np
 
-from . import _kernels_np
-
-_choice = os.environ.get("TRAPMORPH_KERNELS", "auto").lower()
-if _choice not in ("auto", "numpy", "cython"):
-    raise ValueError("TRAPMORPH_KERNELS must be auto, numpy or cython, got %r"
-                     % _choice)
-
-_cy = None
-if _choice in ("auto", "cython"):
-    try:
-        from . import _kernels_cy as _cy
-    except ImportError:
-        if _choice == "cython":
-            raise ImportError(
-                "TRAPMORPH_KERNELS=cython but the compiled extension is not "
-                "available; reinstall with a working C toolchain"
-            )
-        _cy = None
-
-BACKEND = "numpy" if _cy is None or _choice == "numpy" else "cython"
-if _choice == "numpy":
-    _cy = None
-
 
 def apply_quartic_phase(psi, x, x2, x4, A, B, C, dt):
-    if _cy is not None:
-        _cy.apply_quartic_phase(psi.view(np.float64), x, x2, x4,
-                                float(A), float(B), float(C), float(dt))
-    else:
-        _kernels_np.apply_quartic_phase(psi, x, x2, x4, A, B, C, dt)
+    """psi *= exp(-i dt (A x^2 + B x^4 + C x)), elementwise in place."""
+    np.multiply(psi, np.exp(-1j * dt * (A * x2 + B * x4 + C * x)), out=psi)
 
 
 def apply_phase_table(psi, table):
-    if _cy is not None:
-        _cy.apply_phase_table(psi.view(np.float64), table.view(np.float64))
-    else:
-        _kernels_np.apply_phase_table(psi, table)
+    """psi *= table, in place (precomputed unit-modulus factors)."""
+    np.multiply(psi, table, out=psi)

@@ -21,7 +21,6 @@ durations, recording fidelities against the final-trap eigenstates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -193,14 +192,14 @@ def _schedule_factory(preset: Preset, method: str,
 
 
 def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
-             include_ground: bool = False, jobs: int = 1,
+             include_ground: bool = False,
              cache_dir: Optional[str] = None,
              progress: Optional[Callable[[ScanRow], None]] = None) -> ScanResult:
     """Fidelity of the target (and optionally ground) state vs duration.
 
-    Rows are computed independently (thread pool when jobs > 1) and
-    reported in ascending t_f order regardless of completion order.
-    Per-row failures are recorded on the row; the scan continues.
+    Rows run one after another in ascending t_f order.  A row that raises
+    is recorded as failed (trapmorph errors by message, anything else as
+    "<Type>: <message>") and the scan continues.
     """
     tfs = sorted(float(t) for t in t_f_list)
     if not tfs or tfs[0] <= 0.0:
@@ -225,21 +224,15 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
             return row
         except TrapMorphError as exc:
             return ScanRow(t_f=tf, error=str(exc))
+        except Exception as exc:  # one bad row must not end the scan
+            return ScanRow(t_f=tf, error="%s: %s" % (type(exc).__name__, exc))
 
     rows = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            iterator = pool.map(one, tfs)
-            for row in iterator:  # ascending t_f, streamed as available
-                if progress is not None:
-                    progress(row)
-                rows.append(row)
-    else:
-        for tf in tfs:
-            row = one(tf)
-            if progress is not None:
-                progress(row)
-            rows.append(row)
+    for tf in tfs:
+        row = one(tf)
+        if progress is not None:
+            progress(row)
+        rows.append(row)
     return ScanResult(
         preset_name=preset.name, method=method, n_target=preset.n_target,
         rows=tuple(rows),

@@ -80,22 +80,15 @@ class AdiabaticityProfile:
 
 
 def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
-              lam: np.ndarray, k: int) -> np.ndarray:
+              lam: np.ndarray, k: int, method: str) -> np.ndarray:
+    """g at each A in `lam`: sum of weight / gap^2 over the neighbours,
+    the weight being the coupling for FAQUAD and 1 for LA."""
     g = np.empty(len(lam))
     for i, a in enumerate(lam):
         eig = eigensolve(path.params_at(a), grid, k, refine=False)
         nc = couplings(eig, path, n)
-        g[i] = float(np.sum(nc.couplings / nc.gaps**2))
-    return g
-
-
-def _g_values_la(path: DeformationPath, grid: SpatialGrid, n: int,
-                 lam: np.ndarray, k: int) -> np.ndarray:
-    g = np.empty(len(lam))
-    for i, a in enumerate(lam):
-        eig = eigensolve(path.params_at(a), grid, k, refine=False)
-        nc = couplings(eig, path, n)
-        g[i] = float(np.sum(1.0 / nc.gaps**2))
+        weight = nc.couplings if method == "faquad" else 1.0
+        g[i] = float(np.sum(weight / nc.gaps**2))
     return g
 
 
@@ -116,13 +109,12 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     if method not in ("faquad", "la"):
         raise ScheduleError("unknown design method %r" % method)
     k = n + 3
-    evaluate = _g_values if method == "faquad" else _g_values_la
 
     lam = np.linspace(path.A0, path.Af, nodes)
-    g = evaluate(path, grid, n, lam, k)
+    g = _g_values(path, grid, n, lam, k, method)
     while True:
         mid = 0.5 * (lam[:-1] + lam[1:])
-        g_mid = evaluate(path, grid, n, mid, k)
+        g_mid = _g_values(path, grid, n, mid, k, method)
         # On an inverted schedule dt_j = dA_j * (g_j + g_{j+1})/2 / c, so
         # c_j/c = g(midpoint) / pair mean; flat to tolerance <=> converged.
         dev = float(np.max(np.abs(g_mid / (0.5 * (g[1:] + g[:-1])) - 1.0)))

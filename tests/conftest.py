@@ -2,20 +2,13 @@
 
 The expensive objects (adiabaticity profiles, the 16-point fidelity scans
 on the mini preset) are built once per session and shared between the
-experiment tests and the acceptance gate.  With the compiled kernels the
-whole set takes a couple of minutes; the numpy fallback roughly triples
-that.  Everything is deterministic, so session scope is safe.
+experiment tests and the acceptance gate.  Everything is deterministic,
+so session scope is safe.
 """
-
-import os
 
 import pytest
 
 import trapmorph as tm
-
-# scan rows are independent; a few threads cut the wall time without
-# touching determinism (rows are reassembled in ascending t_f order)
-JOBS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
@@ -56,17 +49,15 @@ def tf_grid(mini):
 @pytest.fixture(scope="session")
 def faquad_scan(mini, tf_grid, profile_cache):
     """FAQUAD scan carrying both F_n and F_0 (superposition protocol)."""
-    return tm.run_superposition(mini, "faquad", tf_grid, jobs=JOBS,
+    return tm.run_superposition(mini, "faquad", tf_grid,
                                 cache_dir=profile_cache)
 
 
 @pytest.fixture(scope="session")
 def la_scan(mini, tf_grid, profile_cache):
-    return tm.run_scan(mini, "la", tf_grid, jobs=JOBS,
-                       cache_dir=profile_cache)
+    return tm.run_scan(mini, "la", tf_grid, cache_dir=profile_cache)
 
 
 @pytest.fixture(scope="session")
 def linear_scan(mini, tf_grid, profile_cache):
-    return tm.run_scan(mini, "linear", tf_grid, jobs=JOBS,
-                       cache_dir=profile_cache)
+    return tm.run_scan(mini, "linear", tf_grid, cache_dir=profile_cache)

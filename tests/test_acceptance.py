@@ -19,8 +19,6 @@ import trapmorph as tm
 from trapmorph.eigen import couplings
 from trapmorph.schedule import discrete_adiabaticity
 
-from conftest import JOBS
-
 
 def _report(num: int, ok: bool, detail: str) -> bool:
     print("criterion %d: %s - %s" % (num, "PASS" if ok else "FAIL", detail))
@@ -190,8 +188,8 @@ def test_criterion_7_superposition_quality(faquad_scan):
 def test_criterion_8_ion_trap_scale_thresholds():
     preset = tm.beryllium_preset()
     tfs = tm.default_tf_grid(preset)  # 20..200 us in internal units
-    fa = tm.run_scan(preset, "faquad", tfs, jobs=JOBS)
-    lin = tm.run_scan(preset, "linear", tfs, jobs=JOBS)
+    fa = tm.run_scan(preset, "faquad", tfs)
+    lin = tm.run_scan(preset, "linear", tfs)
     fa_best = fa.best_row()
     lin_best = lin.best_row()
     ok = fa_best.F_n >= 0.9 and lin_best.F_n < 0.9

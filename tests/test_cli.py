@@ -132,6 +132,19 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert "row t_f=10" in err  # progress is streamed to stderr
 
 
+def test_scan_jobs_flag_is_accepted(tmp_path, capsys):
+    # rows always run serially; --jobs N changes nothing in the output
+    texts = []
+    for jobs in ("1", "2"):
+        out_csv = str(tmp_path / ("jobs%s.csv" % jobs))
+        code, _, _ = run(["scan", "--preset", "mini", "--method", "linear",
+                          "--tf", "10,12", "--jobs", jobs, "--out", out_csv],
+                         capsys)
+        assert code == 0
+        texts.append(open(out_csv).read())
+    assert texts[0] == texts[1]
+
+
 def test_scan_tf_range(tmp_path, capsys):
     out_csv = str(tmp_path / "r.csv")
     code, _, _ = run(["scan", "--preset", "mini", "--method", "linear",

@@ -1,24 +1,9 @@
-"""Compiled vs reference phase kernels, and backend selection."""
-
-import os
-import subprocess
-import sys
+"""Phase kernels of the split-operator step."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-import trapmorph as tm
-from trapmorph import _kernels_np
-from trapmorph.kernels import BACKEND
-
-try:
-    from trapmorph import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_ext = pytest.mark.skipif(_kernels_cy is None,
-                               reason="compiled extension not built")
+from trapmorph import kernels
 
 
 def _random_state(n, seed):
@@ -27,94 +12,11 @@ def _random_state(n, seed):
     return np.ascontiguousarray(psi)
 
 
-@needs_ext
-@pytest.mark.parametrize("n", [64, 513, 4096])
-def test_quartic_phase_kernels_agree(n):
-    x = np.linspace(-20.0, 20.0, n)
-    x2, x4 = x * x, x**4
-    a = _random_state(n, seed=n)
-    b = a.copy()
-    _kernels_np.apply_quartic_phase(a, x, x2, x4, -0.25, 2e-3, 0.09, 0.005)
-    _kernels_cy.apply_quartic_phase(b.view(np.float64), x, x2, x4,
-                                    -0.25, 2e-3, 0.09, 0.005)
-    assert_allclose(b, a, rtol=1e-14, atol=1e-14)
-
-
-@needs_ext
-def test_phase_table_kernels_agree():
-    n = 1024
-    a = _random_state(n, seed=7)
-    b = a.copy()
-    table = np.exp(-0.5j * np.linspace(0.0, 3.0, n) ** 2)
-    _kernels_np.apply_phase_table(a, table)
-    _kernels_cy.apply_phase_table(b.view(np.float64), table.view(np.float64))
-    assert_allclose(b, a, rtol=1e-14, atol=1e-14)
-
-
 def test_kernels_modify_in_place():
     a = _random_state(128, seed=1)
     before = a.copy()
     x = np.linspace(-5.0, 5.0, 128)
-    _kernels_np.apply_quartic_phase(a, x, x * x, x**4, 0.5, 0.0, 0.0, 0.01)
+    kernels.apply_quartic_phase(a, x, x * x, x**4, 0.5, 0.0, 0.0, 0.01)
     assert not np.array_equal(a, before)
     # pure phase: magnitudes untouched
     assert_allclose(np.abs(a), np.abs(before), rtol=1e-15)
-
-
-@needs_ext
-def test_cython_kernel_validates_lengths():
-    a = _random_state(64, seed=2)
-    x = np.linspace(-5.0, 5.0, 32)
-    with pytest.raises(ValueError):
-        _kernels_cy.apply_quartic_phase(a.view(np.float64), x, x * x, x**4,
-                                        0.5, 0.0, 0.0, 0.01)
-
-
-def test_backend_reports_something_sensible():
-    assert BACKEND in ("numpy", "cython")
-    assert tm.kernel_backend == BACKEND
-
-
-def _run_with_backend(code, backend):
-    """Run ``code`` in a child interpreter with TRAPMORPH_KERNELS=backend.
-
-    The child keeps this process's environment, and the directory that
-    holds the imported ``trapmorph`` package goes first on PYTHONPATH, so
-    the child imports the same copy as the test even when the package is
-    only reachable through PYTHONPATH (it is not installed).
-    """
-    env = dict(os.environ, TRAPMORPH_KERNELS=backend)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(tm.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-
-
-def test_backend_env_override():
-    code = "import trapmorph; print(trapmorph.kernel_backend)"
-    r = _run_with_backend(code, "numpy")
-    assert r.returncode == 0 and r.stdout.strip() == "numpy", r.stderr
-    # an unknown backend is a hard error raised by the backend switch itself
-    r = _run_with_backend(code, "sparkly")
-    assert r.returncode != 0 and "TRAPMORPH_KERNELS" in r.stderr, r.stderr
-
-
-@needs_ext
-def test_backends_give_identical_physics():
-    # same tiny propagation under both backends, compared end to end
-    code = (
-        "import numpy as np, trapmorph as tm\n"
-        "g = tm.SpatialGrid(-20.0, 20.0, 256)\n"
-        "p = tm.PotentialParams(0.5, 0.0, 0.0)\n"
-        "psi = tm.Wavefunction.normalized(g, np.exp(-0.5*(g.x-1.0)**2))\n"
-        "rep = tm.propagate(psi, tm.Drive.static(p, 3.0), dt=0.01)\n"
-        "print(repr(float(np.abs(rep.final_state.values[100]))))\n"
-        "print(repr(rep.final_state.mean_x()))\n"
-    )
-    outs = []
-    for backend in ("numpy", "cython"):
-        r = _run_with_backend(code, backend)
-        assert r.returncode == 0, r.stderr
-        outs.append([float(v) for v in r.stdout.split()])
-    assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-12)

@@ -122,26 +122,22 @@ def test_scan_rejects_bad_durations(mini):
 
 def test_scan_survives_row_failures(mini, monkeypatch):
     real = scans.propagate
+    # a trapmorph error is recorded by its message; any other exception
+    # with its type as well, and the scan goes on in both cases
+    for exc, recorded in ((PropagationError, "synthetic failure"),
+                          (ZeroDivisionError,
+                           "ZeroDivisionError: synthetic failure")):
 
-    def flaky(psi0, drive, dt, **kw):
-        if abs(drive.t_f - 12.0) < 1e-9:
-            raise PropagationError("synthetic failure")
-        return real(psi0, drive, dt, **kw)
+        def flaky(psi0, drive, dt, **kw):
+            if abs(drive.t_f - 12.0) < 1e-9:
+                raise exc("synthetic failure")
+            return real(psi0, drive, dt, **kw)
 
-    monkeypatch.setattr(scans, "propagate", flaky)
-    res = tm.run_scan(mini, "linear", [10.0, 12.0, 15.0])
-    assert [r.error is None for r in res.rows] == [True, False, True]
-    assert "synthetic failure" in res.rows[1].error
-    assert res.best_row().t_f == 15.0
-
-
-def test_parallel_rows_match_serial(mini):
-    tfs = [10.0, 13.0, 16.0]
-    a = tm.run_scan(mini, "linear", tfs, jobs=1)
-    b = tm.run_scan(mini, "linear", tfs, jobs=3)
-    assert [r.t_f for r in a.rows] == [r.t_f for r in b.rows]
-    # bit-identical, not merely close
-    assert [r.F_n for r in a.rows] == [r.F_n for r in b.rows]
+        monkeypatch.setattr(scans, "propagate", flaky)
+        res = tm.run_scan(mini, "linear", [10.0, 12.0, 15.0])
+        assert [r.error is None for r in res.rows] == [True, False, True]
+        assert res.rows[1].error == recorded
+        assert res.best_row().t_f == 15.0
 
 
 def test_progress_callback_streams_rows(mini):
