@@ -1,9 +1,11 @@
 """On-disk cache of adiabaticity profiles.
 
-Designing a schedule costs ~10^3 eigensolves; the result is a pair of
-small arrays that depend only on (path, grid, target index, method).  This
-module stores them in a versioned little-endian binary format keyed by a
-hash of those inputs, so repeated CLI scans skip straight to propagation.
+Designing a profile costs one eigensolve per node, about 2 000 on the
+mini preset; the result is a pair of small arrays that depend only on
+(path, grid, target index, method, start nodes, refinement tolerance).
+This module stores them in a versioned little-endian binary format keyed
+by a hash of those inputs, so repeated CLI scans skip straight to
+propagation.  The header carries a CRC-32 of the body.
 
 Cache directory resolution: explicit argument, else $TRAPMORPH_CACHE_DIR,
 else ~/.cache/trapmorph.  Corrupt or stale-format entries raise CacheError
@@ -16,22 +18,25 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import CacheError
+from .errors import CacheError, TrapMorphError
 from .grid import SpatialGrid
 from .potential import DeformationPath
-from .schedule import PROFILE_NODES_DEFAULT, AdiabaticityProfile, build_profile
+from .schedule import (PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL,
+                       AdiabaticityProfile, build_profile)
 
 MAGIC = b"TMPROF"
-VERSION = 1
+VERSION = 2
 _METHOD_CODES = {"faquad": 0, "la": 1}
-_HEADER = struct.Struct("<6sHddddddIIddIIQ")
+_HEADER = struct.Struct("<6sHddddddIIddIIQdQI")
 # magic, version, A0, Af, B0, kappa, eps, C, n_target, method,
-# x_min, x_max, grid_n, target_n, nodes
+# x_min, x_max, grid_n, target_n, nodes, refine_tol, count, body crc32;
+# the body is count lambda values then count g values, float64
 
 
 def cache_dir(explicit: Optional[str] = None) -> Path:
@@ -50,22 +55,23 @@ def profile_key(path: DeformationPath, grid: SpatialGrid, n: int,
         for v in (path.A0, path.Af, path.B0, path.kappa, path.eps, path.C,
                   grid.x_min, grid.x_max)
     ]
-    parts += [str(path.n_target), str(grid.n), str(n), method, str(nodes)]
+    parts += [str(path.n_target), str(grid.n), str(n), method, str(nodes),
+              "%.17g" % QUADRATURE_REFINE_TOL]
     digest = hashlib.sha256("|".join(parts).encode()).hexdigest()[:24]
     return "profile-%s.bin" % digest
 
 
 def write_profile(fp, profile: AdiabaticityProfile, path: DeformationPath,
                   grid: SpatialGrid, n: int, nodes: int) -> None:
-    header = _HEADER.pack(
+    body = (np.ascontiguousarray(profile.lambda_grid, "<f8").tobytes()
+            + np.ascontiguousarray(profile.g, "<f8").tobytes())
+    fp.write(_HEADER.pack(
         MAGIC, VERSION, path.A0, path.Af, path.B0, path.kappa, path.eps,
         path.C, path.n_target, _METHOD_CODES[profile.method],
-        grid.x_min, grid.x_max, grid.n, n, nodes,
-    )
-    fp.write(header)
-    fp.write(struct.pack("<Q", len(profile.lambda_grid)))
-    fp.write(np.ascontiguousarray(profile.lambda_grid, "<f8").tobytes())
-    fp.write(np.ascontiguousarray(profile.g, "<f8").tobytes())
+        grid.x_min, grid.x_max, grid.n, n, nodes, QUADRATURE_REFINE_TOL,
+        len(profile.lambda_grid), zlib.crc32(body),
+    ))
+    fp.write(body)
 
 
 def read_profile(fp, path: DeformationPath, grid: SpatialGrid, n: int,
@@ -78,18 +84,22 @@ def read_profile(fp, path: DeformationPath, grid: SpatialGrid, n: int,
         raise CacheError("cache magic/version mismatch")
     expect = (path.A0, path.Af, path.B0, path.kappa, path.eps, path.C,
               path.n_target, _METHOD_CODES[method],
-              grid.x_min, grid.x_max, grid.n, n, nodes)
-    if fields[2:] != expect:
+              grid.x_min, grid.x_max, grid.n, n, nodes, QUADRATURE_REFINE_TOL)
+    if fields[2:-2] != expect:
         raise CacheError("cache entry was written for different parameters")
-    (count,) = struct.unpack("<Q", fp.read(8))
-    if count < 2 or count > 10**8:
-        raise CacheError("implausible node count %d" % count)
-    body = fp.read(2 * 8 * count)
+    count, crc = fields[-2:]
+    body = fp.read()
     if len(body) != 2 * 8 * count:
-        raise CacheError("truncated cache body")
+        raise CacheError("cache body holds %d bytes, header promises %d nodes"
+                         % (len(body), count))
+    if zlib.crc32(body) != crc:
+        raise CacheError("cache body checksum mismatch")
     lam = np.frombuffer(body[: 8 * count], "<f8").copy()
     g = np.frombuffer(body[8 * count:], "<f8").copy()
-    return AdiabaticityProfile(lam, g, method)
+    try:
+        return AdiabaticityProfile(lam, g, method)
+    except TrapMorphError as exc:
+        raise CacheError("cache entry holds an invalid profile: %s" % exc) from exc
 
 
 def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,

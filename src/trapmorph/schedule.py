@@ -45,11 +45,19 @@ ENDPOINT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AdiabaticityProfile:
-    """g(A) sampled on an ascending A-grid, plus its running integral."""
+    """g(A) sampled on an ascending A-grid, plus its running integral.
+
+    A freshly built profile also reports the work behind it: `evaluations`
+    counts the g evaluations (one eigensolve each) and `max_deviation` is
+    the largest midpoint deviation that the flatness test accepted.  Both
+    are None on a profile read back from the cache.
+    """
 
     lambda_grid: np.ndarray
     g: np.ndarray
     method: str  # 'faquad' | 'la'
+    max_deviation: Optional[float] = None
+    evaluations: Optional[int] = None
     cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -98,11 +106,15 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                   max_nodes: int = 64 * PROFILE_NODES_DEFAULT) -> AdiabaticityProfile:
     """Sample the adiabaticity integrand over [A0, Af].
 
-    The A-grid is uniform with `nodes` points and midpoint-doubled until
-    the per-interval discrete adiabaticity (slope times midpoint g) agrees
-    with the trapezoid mean to 1% everywhere, i.e. until a schedule built
-    from the samples realizes a genuinely flat c.  An under-resolved
-    avoided-crossing peak therefore cannot silently skew the design.
+    The A-grid starts uniform with `nodes` points.  Each interval is then
+    tested at its midpoint: the discrete adiabaticity (slope times midpoint
+    g) must agree with the trapezoid mean to 1%, i.e. a schedule built from
+    the samples must realize a genuinely flat c there.  Every midpoint
+    becomes a node; only the two halves of an interval that failed are
+    tested again, until none fails.  An under-resolved avoided-crossing
+    peak therefore cannot silently skew the design, and the stiff rest of
+    the path costs no further eigensolves.  ScheduleError is raised before
+    a round of tests would take the node count over `max_nodes`.
     """
     if nodes < PROFILE_NODES_MIN:
         raise ScheduleError("profile needs >= %d nodes" % PROFILE_NODES_MIN)
@@ -112,28 +124,36 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
 
     lam = np.linspace(path.A0, path.Af, nodes)
     g = _g_values(path, grid, n, lam, k, method)
-    while True:
-        mid = 0.5 * (lam[:-1] + lam[1:])
+    lams, gs = [lam], [g]
+    # intervals still to test: left/right ends and their g
+    a, b, ga, gb = lam[:-1], lam[1:], g[:-1], g[1:]
+    count, worst = nodes, 0.0
+    while len(a):
+        if count + len(a) > max_nodes:
+            raise ScheduleError(
+                "adiabaticity profile still varies by more than %.2g%% on %d "
+                "intervals at %d nodes; peak too sharp for the node cap"
+                % (100 * QUADRATURE_REFINE_TOL, len(a), count))
+        mid = 0.5 * (a + b)
         g_mid = _g_values(path, grid, n, mid, k, method)
+        lams.append(mid)
+        gs.append(g_mid)
+        count += len(mid)
         # On an inverted schedule dt_j = dA_j * (g_j + g_{j+1})/2 / c, so
         # c_j/c = g(midpoint) / pair mean; flat to tolerance <=> converged.
-        dev = float(np.max(np.abs(g_mid / (0.5 * (g[1:] + g[:-1])) - 1.0)))
-        # merge so every computed node is reused at the next level
-        lam2 = np.empty(2 * len(lam) - 1)
-        lam2[::2] = lam
-        lam2[1::2] = mid
-        g2 = np.empty_like(lam2)
-        g2[::2] = g
-        g2[1::2] = g_mid
-        lam, g = lam2, g2
-        if dev <= QUADRATURE_REFINE_TOL:
-            break
-        if 2 * len(lam) - 1 > max_nodes:
-            raise ScheduleError(
-                "adiabaticity profile still varies by %.2g%% per interval at "
-                "%d nodes; peak too sharp for the node cap" % (100 * dev, len(lam))
-            )
-    return AdiabaticityProfile(lam, g, method)
+        dev = np.abs(g_mid / (0.5 * (ga + gb)) - 1.0)
+        ok = dev <= QUADRATURE_REFINE_TOL
+        worst = max(worst, float(np.max(dev, where=ok, initial=0.0)))
+        bad = ~ok
+        a = np.concatenate((a[bad], mid[bad]))
+        b = np.concatenate((mid[bad], b[bad]))
+        ga = np.concatenate((ga[bad], g_mid[bad]))
+        gb = np.concatenate((g_mid[bad], gb[bad]))
+    # every computed node is kept
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")
+    return AdiabaticityProfile(lam[order], np.concatenate(gs)[order], method,
+                               max_deviation=worst, evaluations=count)
 
 
 @dataclass(frozen=True, eq=False)

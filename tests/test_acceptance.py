@@ -54,18 +54,24 @@ def test_criterion_2_analytic_spectra():
                    "quartic-scaling err %.2e (< 1e-4)" % (err_h, err_q))
 
 
-def test_criterion_3_faquad_constancy_and_self_similarity(mini, faquad_profile):
-    sched = tm.invert_profile(faquad_profile, mini.path, 100.0)
-    # independent check: re-solve the spectrum at every interval midpoint
+def _discrete_c_deviation(mini, sched):
+    """Largest |c_j / c - 1| over the final intervals of `sched`, with g
+    re-solved independently at every interval midpoint."""
     lam_mid = 0.5 * (sched.A_values[1:] + sched.A_values[:-1])
     g_mid = np.empty(lam_mid.shape)
     for i, a in enumerate(lam_mid):
         eig = tm.eigensolve(mini.path.params_at(a), mini.grid, mini.k,
                             refine=False)
         nc = couplings(eig, mini.path, mini.n_target)
-        g_mid[i] = np.sum(nc.couplings / nc.gaps**2)
+        weight = nc.couplings if sched.method == "faquad" else 1.0
+        g_mid[i] = np.sum(weight / nc.gaps**2)
     c_disc = discrete_adiabaticity(sched, g_mid)
-    dev = float(np.max(np.abs(c_disc / sched.c - 1.0)))
+    return float(np.max(np.abs(c_disc / sched.c - 1.0)))
+
+
+def test_criterion_3_faquad_constancy_and_self_similarity(mini, faquad_profile):
+    sched = tm.invert_profile(faquad_profile, mini.path, 100.0)
+    dev = _discrete_c_deviation(mini, sched)
 
     # lambda_{2 t_f}(2 t) = lambda_{t_f}(t)
     s2 = tm.invert_profile(faquad_profile, mini.path, 200.0)
@@ -74,6 +80,15 @@ def test_criterion_3_faquad_constancy_and_self_similarity(mini, faquad_profile):
     ok = dev < 0.01 and mism < 1e-9
     assert _report(3, ok, "discrete-c deviation %.2e (< 1e-2), "
                    "self-similarity mismatch %.2e (< 1e-9)" % (dev, mism))
+
+
+def test_criterion_3_la_constancy(mini, la_profile):
+    # the LA profile obeys the same 1% flatness as FAQUAD, with g re-solved
+    # gap-only at every final-interval midpoint
+    sched = tm.invert_profile(la_profile, mini.path, 100.0)
+    dev = _discrete_c_deviation(mini, sched)
+    ok = dev < 0.01
+    assert _report(3, ok, "LA discrete-c deviation %.2e (< 1e-2)" % dev)
 
 
 def test_criterion_4_unitarity_and_ehrenfest(mini, mini_eigs):

@@ -1,12 +1,16 @@
 """Profile disk cache: round trips, invalidation, corruption recovery."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trapmorph as tm
 from trapmorph import cache
 from trapmorph.errors import CacheError
-from trapmorph.schedule import AdiabaticityProfile
+from trapmorph.schedule import QUADRATURE_REFINE_TOL, AdiabaticityProfile
 
 
 @pytest.fixture()
@@ -71,6 +75,95 @@ def test_corrupt_entry_recovers(tmp_path, mini, fake_build):
     assert fake_build["n"] == 2
 
 
+def _entry(tmp_path):
+    return next(tmp_path.glob("profile-*.bin"))
+
+
+def _assert_recomputed(tmp_path, mini, fake_build, builds_before):
+    d = str(tmp_path)
+    p = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
+    assert fake_build["n"] == builds_before + 1
+    want = np.linspace(mini.path.A0, mini.path.Af, 257)
+    assert np.array_equal(p.lambda_grid, want)
+
+
+def _assert_refused_and_rebuilt(tmp_path, mini, fake_build, corrupt):
+    """Write an entry, let `corrupt` edit its bytes in place, then require
+    read_profile to refuse it and cached_profile to rebuild it."""
+    cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    entry = _entry(tmp_path)
+    blob = bytearray(entry.read_bytes())
+    corrupt(blob)
+    entry.write_bytes(bytes(blob))
+    with open(entry, "rb") as fp:
+        with pytest.raises(CacheError):
+            cache.read_profile(fp, mini.path, mini.grid, 2, "faquad", 1024)
+    _assert_recomputed(tmp_path, mini, fake_build, 1)
+
+
+def test_version_1_entry_is_recomputed(tmp_path, mini, fake_build):
+    # an entry in the format of the whole-grid doubling builder, under
+    # the current key, must be refused and rebuilt
+    def write_v1(blob):
+        v1 = struct.Struct("<6sHddddddIIddIIQ").pack(
+            cache.MAGIC, 1, mini.path.A0, mini.path.Af, mini.path.B0,
+            mini.path.kappa, mini.path.eps, mini.path.C, mini.path.n_target,
+            0, mini.grid.x_min, mini.grid.x_max, mini.grid.n, 2, 1024)
+        lam = np.linspace(mini.path.A0, mini.path.Af, 300)
+        blob[:] = (v1 + struct.pack("<Q", 300) + lam.tobytes()
+                   + np.ones(300).tobytes())
+
+    _assert_refused_and_rebuilt(tmp_path, mini, fake_build, write_v1)
+
+
+def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
+                                              monkeypatch):
+    cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    fields = cache._HEADER.unpack(
+        _entry(tmp_path).read_bytes()[:cache._HEADER.size])
+    assert fields[1] == cache.VERSION == 2
+    assert fields[15] == QUADRATURE_REFINE_TOL
+    key = cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024)
+    monkeypatch.setattr(cache, "QUADRATURE_REFINE_TOL", 0.02)
+    assert cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024) != key
+
+
+def test_swapped_lambdas_are_recomputed(tmp_path, mini, fake_build):
+    def swap(blob):
+        i = cache._HEADER.size + 8 * 10  # lambda[10] and lambda[11]
+        blob[i:i + 8], blob[i + 8:i + 16] = blob[i + 8:i + 16], blob[i:i + 8]
+
+    _assert_refused_and_rebuilt(tmp_path, mini, fake_build, swap)
+
+
+def test_flipped_g_bit_is_recomputed(tmp_path, mini, fake_build):
+    def flip(blob):
+        # lowest mantissa bit of g[100]; the fake profile has 257 nodes
+        blob[cache._HEADER.size + 8 * 257 + 8 * 100] ^= 0x01
+
+    _assert_refused_and_rebuilt(tmp_path, mini, fake_build, flip)
+
+
+# tmp_path and fake_build are shared by the examples on purpose: every
+# example rewrites the one entry and counts builds relative to the start
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_truncation_or_byte_flip_is_recomputed(tmp_path, mini,
+                                                   fake_build, data):
+    d = str(tmp_path)
+    cache.cached_profile(mini.path, mini.grid, 2, directory=d)
+    entry = _entry(tmp_path)
+    blob = bytearray(entry.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    entry.write_bytes(bytes(blob))
+    _assert_recomputed(tmp_path, mini, fake_build, fake_build["n"])
+
+
 def test_mismatched_parameters_are_refused(tmp_path, mini, fake_build):
     d = str(tmp_path)
     prof = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
@@ -104,3 +197,5 @@ def test_session_profile_cache_round_trips_real_data(mini, faquad_profile,
                                  method="faquad", directory=profile_cache)
     assert np.array_equal(again.lambda_grid, faquad_profile.lambda_grid)
     assert np.array_equal(again.g, faquad_profile.g)
+    # build statistics describe a build, so a read-back carries none
+    assert again.evaluations is None and again.max_deviation is None

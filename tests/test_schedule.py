@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
+from trapmorph import schedule
 from trapmorph.errors import FlatDirectionError, ScheduleError
-from trapmorph.schedule import AdiabaticityProfile, Schedule
+from trapmorph.schedule import (QUADRATURE_REFINE_TOL, AdiabaticityProfile,
+                                Schedule)
 
 
 # --- profiles -----------------------------------------------------------
@@ -72,6 +74,54 @@ def test_build_profile_small_start_converges(mini, la_profile):
     prof = tm.build_profile(mini.path, mini.grid, mini.n_target,
                             method="la", nodes=512)
     assert_allclose(prof.integral, la_profile.integral, rtol=1e-3)
+
+
+def test_fresh_profile_reports_its_build(faquad_profile, la_profile):
+    # the session cache starts empty, so both fixtures were built here
+    for prof in (faquad_profile, la_profile):
+        assert prof.evaluations == len(prof.lambda_grid)  # no node dropped
+        assert prof.max_deviation <= QUADRATURE_REFINE_TOL
+
+
+def _peak_g(lam):
+    # a narrow peak on a flat floor
+    return 1.0 + 50.0 * np.exp(-0.5 * ((lam - 0.1) / 0.002) ** 2)
+
+
+@pytest.fixture()
+def peak_calls(monkeypatch):
+    """Replace the eigensolves behind g with _peak_g; record batch sizes."""
+    calls = []
+
+    def g_values(path, grid, n, lam, k, method):
+        calls.append(len(lam))
+        return _peak_g(lam)
+
+    monkeypatch.setattr(schedule, "_g_values", g_values)
+    return calls
+
+
+def test_refinement_splits_only_failing_intervals(mini, peak_calls):
+    prof = tm.build_profile(mini.path, mini.grid, 2, nodes=128)
+    lam = prof.lambda_grid
+    assert prof.evaluations == sum(peak_calls) == len(lam)
+    assert lam[0] == mini.path.A0 and lam[-1] == mini.path.Af
+    # every final interval meets the test the builder applies
+    mid = 0.5 * (lam[1:] + lam[:-1])
+    dev = np.abs(_peak_g(mid) / (0.5 * (prof.g[1:] + prof.g[:-1])) - 1.0)
+    assert np.max(dev) <= QUADRATURE_REFINE_TOL
+    assert prof.max_deviation <= QUADRATURE_REFINE_TOL
+    # refined near the peak only: doubling the whole grid down to the
+    # finest spacing would take (Af - A0) / min(dA) + 1 = 8129 nodes
+    step = np.diff(lam)
+    assert np.max(step) / np.min(step) == pytest.approx(32.0)
+    assert len(lam) < 400
+
+
+def test_node_cap_refuses_before_solving(mini, peak_calls):
+    with pytest.raises(ScheduleError):
+        tm.build_profile(mini.path, mini.grid, 2, nodes=128, max_nodes=300)
+    assert sum(peak_calls) <= 300
 
 
 # --- inversion ----------------------------------------------------------
