@@ -19,7 +19,7 @@ from .propagate import (Drive, PropagationReport, Wavefunction, fidelity,
 from .cache import cached_profile
 from .scans import (Preset, ScanResult, ScanRow, beryllium_preset,
                     default_tf_grid, emit_csv, get_preset, mini_preset,
-                    run_demultiplexing, run_scan, run_superposition)
+                    run_demultiplexing, run_scan)
 from .units import AMU_SI, HBAR_SI, UnitSystem, beryllium_units
 
 __version__ = "0.1.0"
@@ -37,6 +37,6 @@ __all__ = [
     "emit_csv", "fidelity", "geometry", "get_preset", "invert_profile",
     "kernel_backend", "linear_schedule", "localization", "max_target_bound",
     "mini_preset", "path_for_target", "propagate",
-    "quanta_number", "run_demultiplexing", "run_scan", "run_superposition",
+    "quanta_number", "run_demultiplexing", "run_scan",
     "small_bias_check", "superposition_fidelity", "__version__",
 ]

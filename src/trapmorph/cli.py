@@ -20,42 +20,44 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 import numpy as np
 
-from .cache import cached_profile
 from .eigen import eigensolve, localization
 from .errors import TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import PotentialParams
-from .scans import (PRESETS, csv_preamble, csv_row_line, emit_plot_script,
-                    get_preset, run_demultiplexing, run_scan)
-from .schedule import linear_schedule, invert_profile
+from .scans import (METHODS, PRESETS, csv_preamble, csv_row_line,
+                    default_tf_grid, emit_plot_script, get_preset,
+                    run_demultiplexing, run_scan, schedule_factory)
 
 _TIME_SUFFIXES = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
 def _parse_duration(token: str, preset) -> float:
-    """One duration, with optional SI suffix for SI presets."""
+    """One positive, finite duration; SI presets also take a time suffix."""
     token = token.strip()
+    body, suffix = token, None
     for suf in ("ns", "us", "ms", "s"):
-        if token.endswith(suf) and not token[: -len(suf)].strip() == "":
-            body = token[: -len(suf)]
-            try:
-                val = float(body)
-            except ValueError:
-                break
-            if preset.units is None:
-                raise UsageError(
-                    "preset %r is dimensionless; give plain durations"
-                    % preset.name
-                )
-            return val * _TIME_SUFFIXES[suf] / preset.units.time_unit
+        if token.endswith(suf) and token[: -len(suf)].strip():
+            body, suffix = token[: -len(suf)], suf
+            break
     try:
-        return float(token)
+        val = float(body)
     except ValueError:
         raise UsageError("cannot parse duration %r" % token) from None
+    if suffix is not None:
+        if preset.units is None:
+            raise UsageError(
+                "preset %r is dimensionless; give plain durations"
+                % preset.name
+            )
+        val = val * _TIME_SUFFIXES[suffix] / preset.units.time_unit
+    if not (math.isfinite(val) and val > 0.0):
+        raise UsageError("duration %r must be positive and finite" % token)
+    return val
 
 
 def _parse_tf_spec(args, preset) -> list:
@@ -74,9 +76,7 @@ def _parse_tf_spec(args, preset) -> list:
         return list(np.geomspace(lo, hi, count))  # log-spaced, as documented
     if args.tf:
         return [_parse_duration(t, preset) for t in args.tf.split(",")]
-    # fall back to the preset's window, log-spaced
-    lo, hi = preset.tf_window
-    return list(np.geomspace(lo, hi, 16))
+    return list(default_tf_grid(preset))
 
 
 def _parse_inline(spec: str) -> PotentialParams:
@@ -125,12 +125,7 @@ def cmd_eigen(args) -> int:
 def cmd_design(args) -> int:
     preset = get_preset(args.preset, args.n)
     tf = _parse_duration(args.tf, preset)
-    if args.method == "linear":
-        sched = linear_schedule(preset.path, tf)
-    else:
-        profile = cached_profile(preset.path, preset.grid, preset.n_target,
-                                 method=args.method, directory=args.cache_dir)
-        sched = invert_profile(profile, preset.path, tf)
+    sched = schedule_factory(preset, args.method, args.cache_dir)(tf)
     with open(args.out, "w") as fp:
         fp.write(sched.to_text())
     print("method=%s t_f=%.12g c=%s out=%s"
@@ -153,7 +148,6 @@ def cmd_scan(args) -> int:
 
     tfs = _parse_tf_spec(args, preset)
     out = args.out or ("scan_%s_%s.csv" % (preset.name, args.method))
-    wrote = 0
     with open(out, "w") as fp:
         fp.write(csv_preamble(preset.name, args.method, preset.n_target,
                               "s" if preset.units is not None else
@@ -161,11 +155,9 @@ def cmd_scan(args) -> int:
         fp.flush()
 
         def progress(row):
-            nonlocal wrote
             fp.write(csv_row_line(row, preset.time_to_SI))
             fp.flush()  # keep partial CSV valid if interrupted
             if row.error is None:
-                wrote += 1
                 sys.stderr.write("row t_f=%.6g F_n=%.6g\n" % (row.t_f, row.F_n))
             else:
                 sys.stderr.write("row t_f=%.6g FAILED: %s\n"
@@ -180,7 +172,7 @@ def cmd_scan(args) -> int:
         with open(args.plot_script, "w") as pfp:
             emit_plot_script(out, pfp,
                              title="%s / %s" % (preset.name, args.method))
-    if wrote == 0:
+    if all(row.error is not None for row in result.rows):
         sys.stderr.write("scan: every row failed\n")
         return 1
     best = result.best_row()
@@ -229,16 +221,14 @@ def _build_parser():
 
     pd = sub.add_parser("design", help="design and serialize a schedule")
     common(pd)
-    pd.add_argument("--method", default="faquad",
-                    choices=["faquad", "la", "linear"])
+    pd.add_argument("--method", default="faquad", choices=METHODS)
     pd.add_argument("--tf", required=True, help="duration (SI suffix ok)")
     pd.add_argument("--out", default="schedule.txt")
     pd.set_defaults(fn=cmd_design)
 
     ps = sub.add_parser("scan", help="fidelity vs duration")
     common(ps)
-    ps.add_argument("--method", default="faquad",
-                    choices=["faquad", "la", "linear"])
+    ps.add_argument("--method", default="faquad", choices=METHODS)
     ps.add_argument("--tf", default=None,
                     help="comma list of durations, or single value for --demux")
     ps.add_argument("--tf-range", default=None,
@@ -263,19 +253,23 @@ def _build_parser():
 
 
 def _apply_config(registry, argv) -> list:
-    """Inject config-file values as subparser defaults (flags still win)."""
-    if "--config" not in argv:
+    """Inject config-file values as subparser defaults (flags still win).
+    Takes `--config FILE` and `--config=FILE` alike."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 == len(argv):
+                raise UsageError("--config needs a file path")
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+            break
+        if token.startswith("--config="):
+            path, rest = token[len("--config="):], argv[:i] + argv[i + 1:]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise UsageError("--config needs a file path") from None
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise UsageError("config file %r not found" % path)
-    rest = argv[:i] + argv[i + 2:]
     if not rest:
         raise UsageError("--config needs a subcommand")
     command = rest[0]

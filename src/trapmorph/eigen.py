@@ -51,11 +51,12 @@ class EigenSet:
         return (self.states.T @ self.states) * self.grid.dx
 
 
-def _tridiag_energies(V: np.ndarray, dx: float, k: int):
+def _tridiag_eigh(V: np.ndarray, dx: float, k: int, **kw):
+    """Lowest k eigenpairs of the finite-difference Hamiltonian with
+    potential samples V (energies only with eigvals_only=True)."""
     d = 1.0 / dx**2 + V
     e = np.full(len(V) - 1, -0.5 / dx**2)
-    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-                            eigvals_only=True)
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), **kw)
 
 
 def _fix_signs(states: np.ndarray) -> np.ndarray:
@@ -68,14 +69,15 @@ def _fix_signs(states: np.ndarray) -> np.ndarray:
 
 
 def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
-               refine: bool = True, check: bool = True) -> EigenSet:
+               refine: bool = True) -> EigenSet:
     """Lowest k eigenpairs of -(1/2) psi'' + V psi = E psi on `grid`.
 
     refine=True replaces the raw finite-difference energies by their
     double Richardson extrapolation over grids of n, 2n and 4n points
-    (eigenvectors stay on the base grid).  check=True enforces the
-    confinement guard: total probability of any returned state in the
-    outer 5% of the domain must stay below 1e-8.
+    (eigenvectors stay on the base grid).  The confinement guard always
+    runs: ConfinementError is raised when any returned state holds more
+    than 1e-8 of its probability in the outer 5% of the domain, or when
+    an energy reaches the potential at the grid edge.
     """
     if k < 1:
         raise GridError("need k >= 1")
@@ -85,32 +87,28 @@ def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
     x = grid.x
     dx = grid.dx
     V = np.asarray(p(x), dtype=float)
-    d = 1.0 / dx**2 + V
-    e = np.full(grid.n - 1, -0.5 / dx**2)
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    w, v = _tridiag_eigh(V, dx, k)
     states = _fix_signs(v / np.sqrt(dx))
 
     if refine:
-        g2 = grid.refined(2)
-        g4 = grid.refined(4)
-        w2 = _tridiag_energies(np.asarray(p(g2.x), float), g2.dx, k)
-        w4 = _tridiag_energies(np.asarray(p(g4.x), float), g4.dx, k)
+        w2, w4 = (_tridiag_eigh(np.asarray(p(g.x), float), g.dx, k,
+                                eigvals_only=True)
+                  for g in (grid.refined(2), grid.refined(4)))
         w = (64.0 * w4 - 20.0 * w2 + w) / 45.0
 
     eig = EigenSet(lam=p.A, grid=grid, energies=w, states=states)
 
-    if check:
-        worst = max(grid.boundary_mass(states[:, j]) for j in range(k))
-        if worst > 1e-8:
-            raise ConfinementError(
-                "eigenstate leaks %.2e into the outer 5%% of the grid; "
-                "domain too small for k=%d" % (worst, k)
-            )
-        if np.any(w >= min(V[0], V[-1])):
-            raise ConfinementError(
-                "E_%d above the potential at the grid edge" % int(np.argmax(
-                    w >= min(V[0], V[-1])))
-            )
+    worst = max(grid.boundary_mass(states[:, j]) for j in range(k))
+    if worst > 1e-8:
+        raise ConfinementError(
+            "eigenstate leaks %.2e into the outer 5%% of the grid; "
+            "domain too small for k=%d" % (worst, k)
+        )
+    if np.any(w >= min(V[0], V[-1])):
+        raise ConfinementError(
+            "E_%d above the potential at the grid edge" % int(np.argmax(
+                w >= min(V[0], V[-1])))
+        )
     return eig
 
 

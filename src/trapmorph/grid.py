@@ -41,9 +41,9 @@ class SpatialGrid:
         """Same domain, `factor` times more nodes."""
         return SpatialGrid(self.x_min, self.x_max, self.n * factor)
 
-    def boundary_mass(self, psi: np.ndarray, frac: float = 0.05) -> float:
-        """Probability in the outer `frac` of the domain on each side."""
-        m = max(1, int(round(frac * self.n)))
+    def boundary_mass(self, psi: np.ndarray) -> float:
+        """Probability in the outer 5% of the domain on each side."""
+        m = max(1, int(round(0.05 * self.n)))
         w = np.abs(psi) ** 2
         return float((w[:m].sum() + w[-m:].sum()) * self.dx)
 

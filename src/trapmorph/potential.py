@@ -117,12 +117,12 @@ def small_bias_bound(A: float, B: float) -> float:
     return (4.0 * math.sqrt(2.0) / 3.0) * math.sqrt(-(A**3) / B)
 
 
-def small_bias_check(p: PotentialParams, ratio_max: float = MUCH_LESS_THAN):
+def small_bias_check(p: PotentialParams):
     """Return (ratio, ok): |C| over the small-bias bound, and whether it
-    passes the operational threshold `ratio_max`."""
+    passes the operational threshold MUCH_LESS_THAN."""
     bound = small_bias_bound(p.A, p.B)
     ratio = abs(p.C) / bound
-    return ratio, ratio <= ratio_max
+    return ratio, ratio <= MUCH_LESS_THAN
 
 
 def bias_for_target(n: int, A0: float, B0: float) -> float:

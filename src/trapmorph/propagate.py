@@ -7,10 +7,10 @@ Strang split-operator stepping on the FFT grid:
 with K the kinetic phase in momentum space and V the potential phase with
 coefficients sampled at the step midpoint (keeps second order for a
 time-dependent Hamiltonian).  Adjacent half-kinetic factors of consecutive
-steps are merged, so the loop costs two FFTs per step; a final partial step
-lands exactly on t_f when it is not a multiple of dt.  Every step is
-unitary up to rounding, which the norm checkpoints verify rather than
-enforce.
+steps are merged, so the loop costs two FFTs per step; when t_f is not a
+multiple of dt the same loop runs once more for a single step of the
+remainder, landing exactly on t_f.  Every step is unitary up to rounding,
+which the norm checkpoints verify rather than enforce.
 
 Fidelity here is the modulus |<target|psi>| - not its square.
 """
@@ -35,6 +35,7 @@ from .schedule import Schedule
 STEP_LIMIT = 0.25
 NORM_DRIFT_LIMIT = 1e-8
 BOUNDARY_MASS_LIMIT = 1e-6
+CHECK_STRIDE = 5000  # steps between norm/boundary checkpoints
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,39 +112,30 @@ class Drive:
                    lambda A: np.full(np.shape(A), p.B), p.C, t_f, w)
 
 
-def _as_drive(obj, t_f) -> Drive:
+def _as_drive(obj) -> Drive:
     if isinstance(obj, Schedule):
-        d = Drive.from_schedule(obj)
-        if t_f is not None and abs(t_f - d.t_f) > 1e-12:
-            raise PropagationError("t_f conflicts with the schedule duration")
-        return d
+        return Drive.from_schedule(obj)
     if isinstance(obj, Drive):
-        if t_f is not None:
-            raise PropagationError("pass t_f through the Drive")
         return obj
-    if isinstance(obj, PotentialParams):
-        if t_f is None:
-            raise PropagationError("static propagation needs t_f")
-        return Drive.static(obj, t_f)
     raise PropagationError("cannot interpret %r as a drive" % (obj,))
 
 
-def propagate(psi0: Wavefunction, drive, dt: float, t_f: Optional[float] = None,
+def propagate(psi0: Wavefunction, drive, dt: float,
               target: Optional[Wavefunction] = None,
-              trajectory=None, traj_stride: int = 100,
-              check_stride: int = 5000) -> PropagationReport:
-    """Integrate psi0 from t = 0 to t_f under `drive`.
+              trajectory=None, traj_stride: int = 100) -> PropagationReport:
+    """Integrate psi0 from t = 0 to the drive's t_f.
 
-    drive: a Schedule, a Drive, or static PotentialParams (with t_f).
+    drive: a Schedule, or a Drive (`Drive.static(params, t_f)` holds a
+    fixed trap).
     trajectory: optional text stream; every traj_stride-th step a CSV row
     (t, norm, <x>, fidelity-to-target) is appended (fidelity column empty
-    when no target is given).
-    check_stride: per-step cadence of the norm/boundary checkpoints.
+    when no target is given).  `target` is used for nothing else.
 
-    Raises PropagationError on norm drift beyond 1e-8 and ConfinementError
-    when probability accumulates at the grid edge (reflection).
+    Every CHECK_STRIDE steps, and at the end, raises PropagationError on
+    norm drift beyond 1e-8 and ConfinementError when probability
+    accumulates at the grid edge (reflection).
     """
-    d = _as_drive(drive, t_f)
+    d = _as_drive(drive)
     T = d.t_f
     if dt <= 0.0:
         raise PropagationError("dt must be positive")
@@ -169,8 +161,6 @@ def propagate(psi0: Wavefunction, drive, dt: float, t_f: Optional[float] = None,
     psi = psi0.values.astype(complex)
 
     def dump(t, state_x):
-        if trajectory is None:
-            return
         nrm = float(np.sum(np.abs(state_x) ** 2) * grid.dx)
         mx = float(np.sum(np.abs(state_x) ** 2 * x) * grid.dx)
         if target is not None:
@@ -183,29 +173,35 @@ def propagate(psi0: Wavefunction, drive, dt: float, t_f: Optional[float] = None,
         trajectory.write("t,norm,mean_x,fidelity\n")
         dump(0.0, psi)
 
-    if m > 0:
-        tm = (np.arange(m) + 0.5) * dt
-        A_mid, B_mid = d.coeffs(tm)
-        kin_full = np.exp(-0.5j * dt * k2)
-        kin_half = np.exp(-0.25j * dt * k2)
+    # m steps of dt, then one step of the remainder: a single merged step
+    # is exactly an unmerged Strang step
+    segments = [(dt, (np.arange(m) + 0.5) * dt)]
+    if rem > 0.0:
+        segments.append((rem, np.array([m * dt + 0.5 * rem])))
+    for h, t_mid in segments:
+        if len(t_mid) == 0:
+            continue
+        A_mid, B_mid = d.coeffs(t_mid)
+        kin_full = np.exp(-0.5j * h * k2)
+        kin_half = np.exp(-0.25j * h * k2)
 
         psi_k = np.fft.fft(psi)
         kernels.apply_phase_table(psi_k, kin_half)
-        for j in range(m):
+        last = len(t_mid) - 1
+        for j in range(len(t_mid)):
             psi_x = np.fft.ifft(psi_k)
             kernels.apply_quartic_phase(psi_x, x, x2, x4,
-                                        A_mid[j], B_mid[j], C, dt)
+                                        A_mid[j], B_mid[j], C, h)
             psi_k = np.fft.fft(psi_x)
-            last = j == m - 1
-            if last:
+            if j == last:
                 kernels.apply_phase_table(psi_k, kin_half)
                 psi = np.fft.ifft(psi_k)
                 break
             want_dump = trajectory is not None and (j + 1) % traj_stride == 0
-            want_check = (j + 1) % check_stride == 0
+            want_check = (j + 1) % CHECK_STRIDE == 0
             if want_dump or want_check:
                 # close the pending half-kinetic on a copy to observe the
-                # true state at t = (j+1) dt without breaking the merge
+                # true state at t = (j+1) h without breaking the merge
                 closed = np.fft.ifft(psi_k * kin_half)
                 if want_check:
                     nrm = float(np.sum(np.abs(closed) ** 2) * grid.dx)
@@ -221,21 +217,8 @@ def propagate(psi0: Wavefunction, drive, dt: float, t_f: Optional[float] = None,
                             "grid too small" % (bm, j + 1)
                         )
                 if want_dump:
-                    dump((j + 1) * dt, closed)
+                    dump((j + 1) * h, closed)
             kernels.apply_phase_table(psi_k, kin_full)
-
-    if rem > 0.0:
-        # final partial Strang step, unmerged
-        A_mid, B_mid = d.coeffs(np.array([m * dt + 0.5 * rem]))
-        kin_half_r = np.exp(-0.25j * rem * k2)
-        psi_k = np.fft.fft(psi)
-        kernels.apply_phase_table(psi_k, kin_half_r)
-        psi_x = np.fft.ifft(psi_k)
-        kernels.apply_quartic_phase(psi_x, x, x2, x4,
-                                    A_mid[0], B_mid[0], C, rem)
-        psi_k = np.fft.fft(psi_x)
-        kernels.apply_phase_table(psi_k, kin_half_r)
-        psi = np.fft.ifft(psi_k)
 
     nrm = float(np.sum(np.abs(psi) ** 2) * grid.dx)
     norms.append(nrm)

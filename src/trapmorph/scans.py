@@ -129,10 +129,10 @@ def get_preset(name: str, n_target: Optional[int] = None) -> Preset:
     return factory() if n_target is None else factory(n_target)
 
 
-def default_tf_grid(preset: Preset, npoints: int = 16) -> np.ndarray:
-    """Log-spaced scan durations over the preset's window."""
+def default_tf_grid(preset: Preset) -> np.ndarray:
+    """16 log-spaced scan durations over the preset's window."""
     lo, hi = preset.tf_window
-    return np.geomspace(lo, hi, npoints)
+    return np.geomspace(lo, hi, 16)
 
 
 @dataclass(frozen=True)
@@ -171,17 +171,18 @@ class ScanResult:
 def _endpoint_states(preset: Preset, include_ground: bool):
     eig0 = eigensolve(preset.path.initial, preset.grid, preset.k, refine=False)
     eigf = eigensolve(preset.path.final, preset.grid, preset.k, refine=False)
-    n = preset.n_target
-    pairs = {"n": (Wavefunction.from_eigenstate(eig0, n),
-                   Wavefunction.from_eigenstate(eigf, n))}
+    levels = {"n": preset.n_target}
     if include_ground:
-        pairs["0"] = (Wavefunction.from_eigenstate(eig0, 0),
-                      Wavefunction.from_eigenstate(eigf, 0))
-    return pairs
+        levels["0"] = 0
+    return {key: (Wavefunction.from_eigenstate(eig0, j),
+                  Wavefunction.from_eigenstate(eigf, j))
+            for key, j in levels.items()}
 
 
-def _schedule_factory(preset: Preset, method: str,
-                      cache_dir: Optional[str] = None) -> Callable[[float], Schedule]:
+def schedule_factory(preset: Preset, method: str,
+                     cache_dir: Optional[str] = None) -> Callable[[float], Schedule]:
+    """t_f -> Schedule for one of METHODS; a FAQUAD/LA profile is looked
+    up (or built) once, here."""
     if method == "linear":
         return lambda tf: linear_schedule(preset.path, tf)
     if method in ("faquad", "la"):
@@ -191,34 +192,40 @@ def _schedule_factory(preset: Preset, method: str,
     raise UsageError("unknown method %r (have: %s)" % (method, ", ".join(METHODS)))
 
 
+def _final_fidelity(pair, sched: Schedule, dt: float) -> float:
+    """Propagate pair[0] under `sched` and score it against pair[1].
+
+    Every propagation of an experiment goes through here."""
+    psi0, target = pair
+    return fidelity(propagate(psi0, sched, dt).final_state, target)
+
+
 def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
              include_ground: bool = False,
              cache_dir: Optional[str] = None,
              progress: Optional[Callable[[ScanRow], None]] = None) -> ScanResult:
-    """Fidelity of the target (and optionally ground) state vs duration.
+    """Fidelity of the target state vs duration.
 
-    Rows run one after another in ascending t_f order.  A row that raises
-    is recorded as failed (trapmorph errors by message, anything else as
+    include_ground=True also propagates |0> under the same schedule and
+    records F_0 and the superposition fidelity (F_0 + F_n)/2.  Rows run
+    one after another in ascending t_f order.  A row that raises is
+    recorded as failed (trapmorph errors by message, anything else as
     "<Type>: <message>") and the scan continues.
     """
     tfs = sorted(float(t) for t in t_f_list)
-    if not tfs or tfs[0] <= 0.0:
-        raise UsageError("t_f list must be non-empty and positive")
-    make_schedule = _schedule_factory(preset, method, cache_dir)
+    if not tfs or not all(math.isfinite(t) and t > 0.0 for t in tfs):
+        raise UsageError("t_f list must be non-empty, positive and finite")
+    make_schedule = schedule_factory(preset, method, cache_dir)
     pairs = _endpoint_states(preset, include_ground)
 
     def one(tf: float) -> ScanRow:
         try:
             sched = make_schedule(tf)
-            psi0, target = pairs["n"]
-            rep = propagate(psi0, sched, preset.dt, target=target)
-            Fn = fidelity(rep.final_state, target)
+            Fn = _final_fidelity(pairs["n"], sched, preset.dt)
             row = ScanRow(t_f=tf, F_n=Fn,
                           c=math.nan if sched.c is None else sched.c)
             if include_ground:
-                g0, gf = pairs["0"]
-                rep0 = propagate(g0, sched, preset.dt, target=gf)
-                F0 = fidelity(rep0.final_state, gf)
+                F0 = _final_fidelity(pairs["0"], sched, preset.dt)
                 row = replace(row, F_0=F0,
                               F_avg=superposition_fidelity(F0, Fn))
             return row
@@ -241,29 +248,14 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
     )
 
 
-def run_superposition(preset: Preset, method: str, t_f_list: Sequence[float],
-                      **kw) -> ScanResult:
-    """Scan propagating both |n> and |0> under the SAME schedule, recording
-    F_n, F_0 and the superposition fidelity (F_0 + F_n)/2."""
-    return run_scan(preset, method, t_f_list, include_ground=True, **kw)
-
-
 def run_demultiplexing(preset: Preset, method: str, t_f: float,
                        cache_dir: Optional[str] = None):
     """(F_forward, F_backward): morph double well -> harmonic with |n>,
     then harmonic -> double well under the reversed schedule."""
-    sched = _schedule_factory(preset, method, cache_dir)(float(t_f))
-    eig0 = eigensolve(preset.path.initial, preset.grid, preset.k, refine=False)
-    eigf = eigensolve(preset.path.final, preset.grid, preset.k, refine=False)
-    n = preset.n_target
-    fwd0 = Wavefunction.from_eigenstate(eig0, n)
-    fwdT = Wavefunction.from_eigenstate(eigf, n)
-    rep = propagate(fwd0, sched, preset.dt, target=fwdT)
-    F_fwd = fidelity(rep.final_state, fwdT)
-    rsched = sched.reversed()
-    rep_b = propagate(fwdT, rsched, preset.dt, target=fwd0)
-    F_bwd = fidelity(rep_b.final_state, fwd0)
-    return F_fwd, F_bwd
+    sched = schedule_factory(preset, method, cache_dir)(float(t_f))
+    pair = _endpoint_states(preset, include_ground=False)["n"]
+    return (_final_fidelity(pair, sched, preset.dt),
+            _final_fidelity(pair[::-1], sched.reversed(), preset.dt))
 
 
 CSV_HEADER = "t_f,F_n,F_0,F_avg,c"

@@ -41,6 +41,12 @@ PROFILE_NODES_DEFAULT = 1024
 PROFILE_NODES_MIN = 128
 QUADRATURE_REFINE_TOL = 0.01  # refine lambda grid until discrete c is flat to 1%
 ENDPOINT_TOL = 1e-12
+LINEAR_SAMPLES = 513
+
+
+def _check_duration(t_f: float) -> None:
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ScheduleError("t_f must be positive and finite, got %r" % t_f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +184,7 @@ class Schedule:
         t, A = self.times, self.A_values
         if len(t) != len(A) or len(t) < 2:
             raise ScheduleError("sample arrays malformed")
-        if self.t_f <= 0.0:
-            raise ScheduleError("t_f must be positive")
+        _check_duration(self.t_f)
         if np.any(np.diff(t) <= 0.0):
             raise ScheduleError("sample times must be strictly increasing")
         dA = np.diff(A)
@@ -273,8 +278,7 @@ def invert_profile(profile: AdiabaticityProfile, path: DeformationPath,
     c and stretches the same shape (self-similarity is exact here by
     construction, the samples are shared up to the time scaling).
     """
-    if t_f <= 0.0:
-        raise ScheduleError("t_f must be positive")
+    _check_duration(t_f)
     c = profile.integral / t_f
     times = profile.cumulative / c
     times[-1] = t_f  # guard the endpoint against quadrature round-off
@@ -283,11 +287,9 @@ def invert_profile(profile: AdiabaticityProfile, path: DeformationPath,
                     method=profile.method, c=c)
 
 
-def linear_schedule(path: DeformationPath, t_f: float,
-                    n_samples: int = 513) -> Schedule:
-    if t_f <= 0.0:
-        raise ScheduleError("t_f must be positive")
-    s = np.linspace(0.0, 1.0, n_samples)
+def linear_schedule(path: DeformationPath, t_f: float) -> Schedule:
+    _check_duration(t_f)
+    s = np.linspace(0.0, 1.0, LINEAR_SAMPLES)
     return Schedule(path=path, t_f=t_f, times=s * t_f,
                     A_values=path.A0 + (path.Af - path.A0) * s,
                     method="linear", c=None)

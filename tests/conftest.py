@@ -6,9 +6,28 @@ experiment tests and the acceptance gate.  Everything is deterministic,
 so session scope is safe.
 """
 
+import types
+from pathlib import Path
+
 import pytest
 
 import trapmorph as tm
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_module():
+    """load(name) runs perfbench/<name>.py into a fresh module object.
+    Executing the source, rather than importing it, leaves no bytecode
+    files under perfbench/."""
+    def load(name):
+        path = PERFBENCH / (name + ".py")
+        mod = types.ModuleType("perfbench_" + name)
+        mod.__file__ = str(path)
+        exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+        return mod
+    return load
 
 
 @pytest.fixture(scope="session")
@@ -49,8 +68,8 @@ def tf_grid(mini):
 @pytest.fixture(scope="session")
 def faquad_scan(mini, tf_grid, profile_cache):
     """FAQUAD scan carrying both F_n and F_0 (superposition protocol)."""
-    return tm.run_superposition(mini, "faquad", tf_grid,
-                                cache_dir=profile_cache)
+    return tm.run_scan(mini, "faquad", tf_grid, include_ground=True,
+                       cache_dir=profile_cache)
 
 
 @pytest.fixture(scope="session")

@@ -105,8 +105,9 @@ def test_criterion_4_unitarity_and_ehrenfest(mini, mini_eigs):
     psi_c = tm.Wavefunction.normalized(grid,
                                        np.exp(-0.5 * (grid.x - x0) ** 2))
     buf = io.StringIO()
-    tm.propagate(psi_c, tm.PotentialParams(0.5, 0.0, 0.0), dt=0.005,
-                 t_f=10.0, trajectory=buf, traj_stride=20)
+    tm.propagate(psi_c, tm.Drive.static(tm.PotentialParams(0.5, 0.0, 0.0),
+                                        10.0),
+                 dt=0.005, trajectory=buf, traj_stride=20)
     rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
     ts = np.array([float(r[0]) for r in rows])
     mx = np.array([float(r[2]) for r in rows])

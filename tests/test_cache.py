@@ -18,7 +18,7 @@ def fake_build(monkeypatch):
     """Replace the expensive profile build with a counted handmade one."""
     calls = {"n": 0}
 
-    def build(path, grid, n, method="faquad", nodes=1024):
+    def build(path, grid, n, method="faquad"):
         calls["n"] += 1
         lam = np.linspace(path.A0, path.Af, 257)
         g = 1.0 + np.exp(-0.5 * ((lam - path.eps) / 0.05) ** 2)
@@ -48,18 +48,11 @@ def test_key_separates_configurations(tmp_path, mini, fake_build):
     assert fake_build["n"] == 3
     assert len(list(tmp_path.glob("profile-*.bin"))) == 3
     # distinct keys, stable names
-    k1 = cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024)
-    k2 = cache.profile_key(mini.path, mini.grid, 2, "la", 1024)
-    k3 = cache.profile_key(other.path, other.grid, 3, "faquad", 1024)
+    k1 = cache.profile_key(mini.path, mini.grid, 2, "faquad")
+    k2 = cache.profile_key(mini.path, mini.grid, 2, "la")
+    k3 = cache.profile_key(other.path, other.grid, 3, "faquad")
     assert len({k1, k2, k3}) == 3
-    assert k1 == cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024)
-
-
-def test_refresh_recomputes(tmp_path, mini, fake_build):
-    d = str(tmp_path)
-    cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    cache.cached_profile(mini.path, mini.grid, 2, directory=d, refresh=True)
-    assert fake_build["n"] == 2
+    assert k1 == cache.profile_key(mini.path, mini.grid, 2, "faquad")
 
 
 def test_corrupt_entry_recovers(tmp_path, mini, fake_build):
@@ -97,7 +90,7 @@ def _assert_refused_and_rebuilt(tmp_path, mini, fake_build, corrupt):
     entry.write_bytes(bytes(blob))
     with open(entry, "rb") as fp:
         with pytest.raises(CacheError):
-            cache.read_profile(fp, mini.path, mini.grid, 2, "faquad", 1024)
+            cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
     _assert_recomputed(tmp_path, mini, fake_build, 1)
 
 
@@ -116,6 +109,34 @@ def test_version_1_entry_is_recomputed(tmp_path, mini, fake_build):
     _assert_refused_and_rebuilt(tmp_path, mini, fake_build, write_v1)
 
 
+def test_writing_removes_superseded_entries(tmp_path, mini, fake_build):
+    d = str(tmp_path)
+    other = mini.with_target(3)
+    cache.cached_profile(other.path, other.grid, 3, directory=d)
+    current = _entry(tmp_path)  # the current format, other inputs
+    v1 = struct.Struct("<6sHddddddIIddIIQQ").pack(
+        cache.MAGIC, 1, mini.path.A0, mini.path.Af, mini.path.B0,
+        mini.path.kappa, mini.path.eps, mini.path.C, mini.path.n_target, 0,
+        mini.grid.x_min, mini.grid.x_max, mini.grid.n, 2, 1024, 2)
+    superseded = tmp_path / ("profile-%s.bin" % ("1" * 24))
+    superseded.write_bytes(v1 + np.array([-0.25, 0.5, 1.0, 1.0]).tobytes())
+    survivors = {current.name: current.read_bytes()}
+    for name, blob in (("profile-%s.bin" % ("f" * 24), b"not a profile"),
+                       ("profile-short.bin", cache.MAGIC),
+                       ("profile-newer.bin",
+                        struct.pack("<6sH", cache.MAGIC, cache.VERSION + 1))):
+        (tmp_path / name).write_bytes(blob)
+        survivors[name] = blob
+    cache.cached_profile(mini.path, mini.grid, 2, directory=d)
+    assert fake_build["n"] == 2
+    assert not superseded.exists()
+    for name, blob in survivors.items():
+        assert (tmp_path / name).read_bytes() == blob
+    written = tmp_path / cache.profile_key(mini.path, mini.grid, 2, "faquad")
+    assert written.exists()
+    assert len(list(tmp_path.iterdir())) == len(survivors) + 1
+
+
 def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
                                               monkeypatch):
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
@@ -123,9 +144,9 @@ def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
         _entry(tmp_path).read_bytes()[:cache._HEADER.size])
     assert fields[1] == cache.VERSION == 2
     assert fields[15] == QUADRATURE_REFINE_TOL
-    key = cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024)
+    key = cache.profile_key(mini.path, mini.grid, 2, "faquad")
     monkeypatch.setattr(cache, "QUADRATURE_REFINE_TOL", 0.02)
-    assert cache.profile_key(mini.path, mini.grid, 2, "faquad", 1024) != key
+    assert cache.profile_key(mini.path, mini.grid, 2, "faquad") != key
 
 
 def test_swapped_lambdas_are_recomputed(tmp_path, mini, fake_build):
@@ -171,10 +192,10 @@ def test_mismatched_parameters_are_refused(tmp_path, mini, fake_build):
     other = mini.with_target(3)
     with open(entry, "rb") as fp:
         with pytest.raises(CacheError):
-            cache.read_profile(fp, other.path, mini.grid, 3, "faquad", 1024)
+            cache.read_profile(fp, other.path, mini.grid, 3, "faquad")
     # the honest read still works
     with open(entry, "rb") as fp:
-        back = cache.read_profile(fp, mini.path, mini.grid, 2, "faquad", 1024)
+        back = cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
     assert np.array_equal(back.g, prof.g)
 
 

@@ -113,8 +113,24 @@ def test_duration_parsing_for_si_presets():
                     1e-3, rtol=1e-12)
     mini = tm.mini_preset()
     assert cli._parse_duration("150", mini) == 150.0
-    with pytest.raises(UsageError):
-        cli._parse_duration("abc", mini)
+    for bad in ("abc", "nan", "inf", "-inf", "0", "-3", "1e999"):
+        with pytest.raises(UsageError):
+            cli._parse_duration(bad, mini)
+    for bad in ("nanus", "0us", "1e999us"):
+        with pytest.raises(UsageError):
+            cli._parse_duration(bad, be)
+
+
+def test_non_finite_durations_exit_2(tmp_path, capsys):
+    for argv in (["design", "--tf", "nan"], ["design", "--tf", "inf"],
+                 ["design", "--method", "linear", "--tf", "nan"],
+                 ["scan", "--method", "linear", "--tf", "nan,10"],
+                 ["scan", "--method", "linear", "--tf-range", "nan:10:3"],
+                 ["scan", "--method", "linear", "--demux", "--tf", "inf"]):
+        out = str(tmp_path / "out.txt")
+        code, _, err = run(argv + ["--preset", "mini", "--out", out], capsys)
+        assert code == 2, argv
+        assert err.startswith("usage error: ")
 
 
 # --- scan ---------------------------------------------------------------------
@@ -199,13 +215,14 @@ def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "trapmorph.ini"
     out_csv = str(tmp_path / "c.csv")
     cfg.write_text("[scan]\nmethod = linear\ntf = 11,14\n")
-    code, out, _ = run(["--config", str(cfg), "scan", "--preset", "mini",
-                        "--out", out_csv], capsys)
-    assert code == 0
-    rows = [ln for ln in open(out_csv).read().splitlines()
-            if ln and not ln.startswith("#") and not ln.startswith("t_f")]
-    assert len(rows) == 2
-    assert float(rows[0].split(",")[0]) == 11.0
+    for config in (["--config", str(cfg)], ["--config=%s" % cfg]):
+        code, out, _ = run(config + ["scan", "--preset", "mini",
+                                     "--out", out_csv], capsys)
+        assert code == 0
+        rows = [ln for ln in open(out_csv).read().splitlines()
+                if ln and not ln.startswith("#") and not ln.startswith("t_f")]
+        assert len(rows) == 2
+        assert float(rows[0].split(",")[0]) == 11.0
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -230,6 +247,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_missing_config_file(tmp_path, capsys):
-    code, _, _ = run(["--config", str(tmp_path / "nope.ini"), "presets",
-                      "list"], capsys)
-    assert code == 2
+    missing = str(tmp_path / "nope.ini")
+    for config in (["--config", missing], ["--config=" + missing],
+                   ["--config="]):
+        code, _, err = run(config + ["presets", "list"], capsys)
+        assert code == 2, config
+        assert "not found" in err

@@ -64,7 +64,7 @@ def test_coherent_state_oscillates(grid):
     x0 = 2.0
     psi = tm.Wavefunction.normalized(grid, np.exp(-0.5 * (grid.x - x0) ** 2))
     buf = io.StringIO()
-    tm.propagate(psi, HARMONIC, dt=0.005, t_f=2.0 * np.pi,
+    tm.propagate(psi, tm.Drive.static(HARMONIC, 2.0 * np.pi), dt=0.005,
                  trajectory=buf, traj_stride=10)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,norm,mean_x,fidelity"
@@ -101,6 +101,28 @@ def test_partial_final_step_lands_exactly(grid, harmonic_eig):
     assert tm.fidelity(rep.final_state, psi) > 1.0 - 1e-6
 
 
+def test_partial_final_step_matches_reference(mini, mini_eigs,
+                                              faquad_profile,
+                                              perfbench_module):
+    # t_f off the step grid: 2469 merged steps, then one step of the
+    # remainder, against perfbench's unmerged textbook Strang stepper
+    ref = perfbench_module("reference")
+    eig0, eigf = mini_eigs
+    psi0 = tm.Wavefunction.from_eigenstate(eig0, 2)
+    target = tm.Wavefunction.from_eigenstate(eigf, 2)
+    t_f = 12.3457
+    sched = tm.invert_profile(faquad_profile, mini.path, t_f)
+    rep = tm.propagate(psi0, sched, mini.dt)
+    assert rep.steps == 2470
+    dx = mini.grid.dx
+    psi_ref = ref.strang(psi0.values, mini.grid.x, sched.times,
+                         sched.A_values, mini.path, mini.dt, t_f)
+    assert abs(ref.norm(psi_ref, dx) - 1.0) <= 1e-9
+    assert 1.0 - ref.overlap(psi_ref, rep.final_state.values, dx) <= 1e-9
+    F = tm.fidelity(rep.final_state, target)
+    assert abs(F - ref.overlap(target.values, psi_ref, dx)) <= 1e-9
+
+
 def test_dt_guard(grid, harmonic_eig, mini):
     psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
     with pytest.raises(PropagationError):
@@ -134,13 +156,11 @@ def test_drive_adapters(mini, faquad_profile):
     assert float(A0) == float(A3) == 0.5
     assert float(B0) == float(B3) == 0.0
     assert st.C == 0.0
-    # passing a schedule plus a conflicting t_f is refused
+    # bare potential parameters are not a drive: Drive.static holds them
     eig = tm.eigensolve(mini.path.initial, mini.grid, 3, refine=False)
     psi = tm.Wavefunction.from_eigenstate(eig, 0)
     with pytest.raises(PropagationError):
-        tm.propagate(psi, sched, 0.005, t_f=19.0)
-    with pytest.raises(PropagationError):
-        tm.propagate(psi, HARMONIC, 0.005)  # bare params need t_f
+        tm.propagate(psi, HARMONIC, 0.005)
 
 
 def test_fidelity_properties(grid, harmonic_eig):

@@ -114,8 +114,9 @@ def test_best_row_and_threshold_semantics():
 def test_scan_rejects_bad_durations(mini):
     with pytest.raises(UsageError):
         tm.run_scan(mini, "linear", [])
-    with pytest.raises(UsageError):
-        tm.run_scan(mini, "linear", [-3.0, 10.0])
+    for bad in ([-3.0, 10.0], [math.nan, 10.0], [10.0, math.inf]):
+        with pytest.raises(UsageError):
+            tm.run_scan(mini, "linear", bad)
     with pytest.raises(UsageError):
         tm.run_scan(mini, "warp", [10.0])
 

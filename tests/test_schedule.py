@@ -199,6 +199,21 @@ def test_schedule_validation(mini):
         Schedule(path=path, t_f=3.0, times=t, A_values=a, method="linear")
 
 
+def test_non_finite_durations_are_refused(mini):
+    path = mini.path
+    t = np.array([0.0, 1.0, 2.0])
+    a = np.array([path.A0, 0.0, path.Af])
+    prof = AdiabaticityProfile(np.linspace(path.A0, path.Af, 5), np.ones(5),
+                               "la")
+    for t_f in (np.nan, np.inf):
+        with pytest.raises(ScheduleError):
+            Schedule(path=path, t_f=t_f, times=t, A_values=a, method="linear")
+        with pytest.raises(ScheduleError):
+            tm.invert_profile(prof, path, t_f)
+        with pytest.raises(ScheduleError):
+            tm.linear_schedule(path, t_f)
+
+
 # --- reversal -----------------------------------------------------------
 
 def test_reversal(mini, faquad_profile):
