@@ -1,16 +1,21 @@
 """On-disk cache of adiabaticity profiles.
 
-Designing a profile costs one eigensolve per node, about 2 000 on the
-mini preset; the result is a pair of small arrays that depend only on
-(path, grid, target index, method, start nodes, refinement tolerance).
-This module stores them in a versioned little-endian binary format keyed
-by a hash of those inputs, so repeated CLI scans skip straight to
-propagation.  The header carries a CRC-32 of the body.
+Designing a profile costs one eigensolve per node; the result is a pair
+of small arrays that depend only on (path, grid, target index, method,
+start nodes, refinement tolerance).  This module stores them in a
+versioned little-endian binary format keyed by a hash of those inputs,
+so repeated CLI scans skip straight to propagation.  The header carries
+a CRC-32 of the body.
+
+FAQUAD and LA read the same spectrum along the path, so a miss builds
+both from one set of eigensolves and stores the other method's entry
+too, unless it already exists: one cold design of the mini preset costs
+about 2 000 eigensolves for both methods.
 
 Cache directory resolution: explicit argument, else $TRAPMORPH_CACHE_DIR,
 else ~/.cache/trapmorph.  Corrupt or stale-format entries raise CacheError
 from the low-level reader; the high-level entry point treats that as a
-miss and recomputes.  Whenever it writes an entry it also deletes the
+miss and recomputes.  Whenever it writes entries it also deletes the
 entries that an older format version left in the same directory.
 """
 
@@ -118,10 +123,22 @@ def _remove_superseded(d: Path) -> None:
                 entry.unlink()
 
 
+def _write_entry(entry: Path, profile: AdiabaticityProfile,
+                 path: DeformationPath, grid: SpatialGrid, n: int) -> None:
+    tmp = entry.with_suffix(".tmp.%d" % os.getpid())
+    with open(tmp, "wb") as fp:
+        write_profile(fp, profile, path, grid, n)
+    os.replace(tmp, entry)
+
+
 def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                    method: str = "faquad",
                    directory: Optional[str] = None) -> AdiabaticityProfile:
-    """build_profile with a read-through disk cache."""
+    """build_profile with a read-through disk cache.
+
+    A miss also builds the other method's profile, from the eigensolves
+    of the requested build, and stores it if its entry is absent.
+    """
     d = cache_dir(directory)
     entry = d / profile_key(path, grid, n, method)
     if entry.exists():
@@ -130,14 +147,24 @@ def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                 return read_profile(fp, path, grid, n, method)
         except (CacheError, OSError):
             pass  # recompute below and overwrite
-    profile = build_profile(path, grid, n, method=method)
+    store = {}  # A -> (g_faquad, g_la), for the builds of this call only
+    profile = build_profile(path, grid, n, method=method, store=store)
     try:
         d.mkdir(parents=True, exist_ok=True)
-        tmp = entry.with_suffix(".tmp.%d" % os.getpid())
-        with open(tmp, "wb") as fp:
-            write_profile(fp, profile, path, grid, n)
-        os.replace(tmp, entry)
+        _write_entry(entry, profile, path, grid, n)
+    except OSError:
+        return profile  # cache is best-effort; the computed profile is still good
+    other = "la" if method == "faquad" else "faquad"
+    companion = d / profile_key(path, grid, n, other)
+    if not companion.exists():
+        try:
+            _write_entry(companion,
+                         build_profile(path, grid, n, method=other, store=store),
+                         path, grid, n)
+        except (OSError, TrapMorphError):
+            pass  # a request for that method builds it again and reports why
+    try:
         _remove_superseded(d)
     except OSError:
-        pass  # cache is best-effort; the computed profile is still good
+        pass
     return profile

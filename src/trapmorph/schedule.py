@@ -54,9 +54,11 @@ class AdiabaticityProfile:
     """g(A) sampled on an ascending A-grid, plus its running integral.
 
     A freshly built profile also reports the work behind it: `evaluations`
-    counts the g evaluations (one eigensolve each) and `max_deviation` is
-    the largest midpoint deviation that the flatness test accepted.  Both
-    are None on a profile read back from the cache.
+    counts the eigensolves its build ran (a standalone build solves each
+    node once; a build that shares another's node store solves only the
+    nodes that one lacked, so it can report 0) and `max_deviation` is the
+    largest midpoint deviation that the flatness test accepted.  Both are
+    None on a profile read back from the cache.
     """
 
     lambda_grid: np.ndarray
@@ -93,23 +95,36 @@ class AdiabaticityProfile:
         return float(self.lambda_grid[int(np.argmax(self.g))])
 
 
+PROFILE_METHODS = ("faquad", "la")  # column order of _g_values
+
+
 def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
-              lam: np.ndarray, k: int, method: str) -> np.ndarray:
-    """g at each A in `lam`: sum of weight / gap^2 over the neighbours,
-    the weight being the coupling for FAQUAD and 1 for LA."""
-    g = np.empty(len(lam))
+              lam: np.ndarray, k: int, store: dict) -> np.ndarray:
+    """(g_faquad, g_la) at each A in `lam`, one row per node.
+
+    g is the sum of weight / gap^2 over the neighbours, the weight being
+    the coupling for FAQUAD and 1 for LA, so one eigensolve gives both.
+    `store` maps each A already solved to its pair: a node found there is
+    not solved again, and each new one is added.
+    """
+    g = np.empty((len(lam), 2))
     for i, a in enumerate(lam):
-        eig = eigensolve(path.params_at(a), grid, k, refine=False)
-        nc = couplings(eig, path, n)
-        weight = nc.couplings if method == "faquad" else 1.0
-        g[i] = float(np.sum(weight / nc.gaps**2))
+        pair = store.get(a)
+        if pair is None:
+            eig = eigensolve(path.params_at(a), grid, k, refine=False)
+            nc = couplings(eig, path, n)
+            gap2 = nc.gaps**2
+            pair = store[a] = (float(np.sum(nc.couplings / gap2)),
+                               float(np.sum(1.0 / gap2)))
+        g[i] = pair
     return g
 
 
 def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                   method: str = "faquad",
                   nodes: int = PROFILE_NODES_DEFAULT,
-                  max_nodes: int = 64 * PROFILE_NODES_DEFAULT) -> AdiabaticityProfile:
+                  max_nodes: int = 64 * PROFILE_NODES_DEFAULT,
+                  store: Optional[dict] = None) -> AdiabaticityProfile:
     """Sample the adiabaticity integrand over [A0, Af].
 
     The A-grid starts uniform with `nodes` points.  Each interval is then
@@ -121,15 +136,24 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     peak therefore cannot silently skew the design, and the stiff rest of
     the path costs no further eigensolves.  ScheduleError is raised before
     a round of tests would take the node count over `max_nodes`.
+
+    Each node's eigensolve yields the g of both methods.  `store` (A ->
+    (g_faquad, g_la)) keeps them: hand the store of one build to the
+    other method's build on the same path, grid and n, and that build
+    solves only the nodes the first lacked.  Its refinement, node set and
+    result are exactly those of a standalone build.
     """
     if nodes < PROFILE_NODES_MIN:
         raise ScheduleError("profile needs >= %d nodes" % PROFILE_NODES_MIN)
-    if method not in ("faquad", "la"):
+    if method not in PROFILE_METHODS:
         raise ScheduleError("unknown design method %r" % method)
+    column = PROFILE_METHODS.index(method)
+    store = {} if store is None else store
+    solved = len(store)
     k = n + 3
 
     lam = np.linspace(path.A0, path.Af, nodes)
-    g = _g_values(path, grid, n, lam, k, method)
+    g = _g_values(path, grid, n, lam, k, store)[:, column]
     lams, gs = [lam], [g]
     # intervals still to test: left/right ends and their g
     a, b, ga, gb = lam[:-1], lam[1:], g[:-1], g[1:]
@@ -141,7 +165,7 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                 "intervals at %d nodes; peak too sharp for the node cap"
                 % (100 * QUADRATURE_REFINE_TOL, len(a), count))
         mid = 0.5 * (a + b)
-        g_mid = _g_values(path, grid, n, mid, k, method)
+        g_mid = _g_values(path, grid, n, mid, k, store)[:, column]
         lams.append(mid)
         gs.append(g_mid)
         count += len(mid)
@@ -159,7 +183,8 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")
     return AdiabaticityProfile(lam[order], np.concatenate(gs)[order], method,
-                               max_deviation=worst, evaluations=count)
+                               max_deviation=worst,
+                               evaluations=len(store) - solved)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,9 @@
 """Profile disk cache: round trips, invalidation, corruption recovery."""
 
+import io
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trapmorph as tm
-from trapmorph import cache
-from trapmorph.errors import CacheError
+from trapmorph import cache, schedule
+from trapmorph.errors import CacheError, FlatDirectionError
 from trapmorph.schedule import QUADRATURE_REFINE_TOL, AdiabaticityProfile
 
 
 @pytest.fixture()
 def fake_build(monkeypatch):
-    """Replace the expensive profile build with a counted handmade one."""
+    """Replace the expensive profile build with a counted handmade one.
+    A miss builds the requested method and then its companion, so one
+    cold lookup counts two builds."""
     calls = {"n": 0}
 
-    def build(path, grid, n, method="faquad"):
+    def build(path, grid, n, method="faquad", store=None):
         calls["n"] += 1
         lam = np.linspace(path.A0, path.Af, 257)
         g = 1.0 + np.exp(-0.5 * ((lam - path.eps) / 0.05) ** 2)
@@ -31,9 +36,9 @@ def fake_build(monkeypatch):
 def test_read_through_and_reuse(tmp_path, mini, fake_build):
     d = str(tmp_path)
     p1 = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    assert fake_build["n"] == 1
+    assert fake_build["n"] == 2  # FAQUAD and its LA companion
     p2 = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    assert fake_build["n"] == 1  # served from disk
+    assert fake_build["n"] == 2  # served from disk
     assert np.array_equal(p1.lambda_grid, p2.lambda_grid)
     assert np.array_equal(p1.g, p2.g)
     assert p1.method == p2.method
@@ -45,8 +50,9 @@ def test_key_separates_configurations(tmp_path, mini, fake_build):
     cache.cached_profile(mini.path, mini.grid, 2, method="la", directory=d)
     other = mini.with_target(3)
     cache.cached_profile(other.path, other.grid, 3, directory=d)
-    assert fake_build["n"] == 3
-    assert len(list(tmp_path.glob("profile-*.bin"))) == 3
+    # each FAQUAD miss also stored LA; the LA lookup was a hit
+    assert fake_build["n"] == 4
+    assert len(list(tmp_path.glob("profile-*.bin"))) == 4
     # distinct keys, stable names
     k1 = cache.profile_key(mini.path, mini.grid, 2, "faquad")
     k2 = cache.profile_key(mini.path, mini.grid, 2, "la")
@@ -58,18 +64,19 @@ def test_key_separates_configurations(tmp_path, mini, fake_build):
 def test_corrupt_entry_recovers(tmp_path, mini, fake_build):
     d = str(tmp_path)
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    entry = next(tmp_path.glob("profile-*.bin"))
+    entry = _entry(tmp_path, mini)
     entry.write_bytes(entry.read_bytes()[:40])  # truncate mid-header
     p = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    assert fake_build["n"] == 2  # recomputed
+    assert fake_build["n"] == 3  # recomputed; the LA entry was intact
     assert len(p.lambda_grid) == 257
     # and the overwritten entry is healthy again
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    assert fake_build["n"] == 2
+    assert fake_build["n"] == 3
 
 
-def _entry(tmp_path):
-    return next(tmp_path.glob("profile-*.bin"))
+def _entry(tmp_path, preset, method="faquad"):
+    return tmp_path / cache.profile_key(preset.path, preset.grid,
+                                        preset.n_target, method)
 
 
 def _assert_recomputed(tmp_path, mini, fake_build, builds_before):
@@ -84,14 +91,14 @@ def _assert_refused_and_rebuilt(tmp_path, mini, fake_build, corrupt):
     """Write an entry, let `corrupt` edit its bytes in place, then require
     read_profile to refuse it and cached_profile to rebuild it."""
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
-    entry = _entry(tmp_path)
+    entry = _entry(tmp_path, mini)
     blob = bytearray(entry.read_bytes())
     corrupt(blob)
     entry.write_bytes(bytes(blob))
     with open(entry, "rb") as fp:
         with pytest.raises(CacheError):
             cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
-    _assert_recomputed(tmp_path, mini, fake_build, 1)
+    _assert_recomputed(tmp_path, mini, fake_build, 2)
 
 
 def test_version_1_entry_is_recomputed(tmp_path, mini, fake_build):
@@ -109,39 +116,52 @@ def test_version_1_entry_is_recomputed(tmp_path, mini, fake_build):
     _assert_refused_and_rebuilt(tmp_path, mini, fake_build, write_v1)
 
 
-def test_writing_removes_superseded_entries(tmp_path, mini, fake_build):
+def test_writing_removes_superseded_entries(tmp_path, mini, fake_build,
+                                            monkeypatch):
     d = str(tmp_path)
     other = mini.with_target(3)
     cache.cached_profile(other.path, other.grid, 3, directory=d)
-    current = _entry(tmp_path)  # the current format, other inputs
+    # the two current-format entries of other inputs
+    survivors = {e.name: e.read_bytes() for e in tmp_path.iterdir()}
+    assert len(survivors) == 2
     v1 = struct.Struct("<6sHddddddIIddIIQQ").pack(
         cache.MAGIC, 1, mini.path.A0, mini.path.Af, mini.path.B0,
         mini.path.kappa, mini.path.eps, mini.path.C, mini.path.n_target, 0,
         mini.grid.x_min, mini.grid.x_max, mini.grid.n, 2, 1024, 2)
     superseded = tmp_path / ("profile-%s.bin" % ("1" * 24))
     superseded.write_bytes(v1 + np.array([-0.25, 0.5, 1.0, 1.0]).tobytes())
-    survivors = {current.name: current.read_bytes()}
     for name, blob in (("profile-%s.bin" % ("f" * 24), b"not a profile"),
                        ("profile-short.bin", cache.MAGIC),
                        ("profile-newer.bin",
                         struct.pack("<6sH", cache.MAGIC, cache.VERSION + 1))):
         (tmp_path / name).write_bytes(blob)
         survivors[name] = blob
+    sweeps = []
+    sweep = cache._remove_superseded
+
+    def counted_sweep(directory):
+        sweeps.append({e.name for e in directory.iterdir()})
+        sweep(directory)
+
+    monkeypatch.setattr(cache, "_remove_superseded", counted_sweep)
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    assert fake_build["n"] == 2
+    assert fake_build["n"] == 4
+    # one sweep, after both entries of the miss are written
+    assert len(sweeps) == 1
+    assert {_entry(tmp_path, mini, m).name for m in ("faquad", "la")} <= sweeps[0]
     assert not superseded.exists()
     for name, blob in survivors.items():
         assert (tmp_path / name).read_bytes() == blob
-    written = tmp_path / cache.profile_key(mini.path, mini.grid, 2, "faquad")
-    assert written.exists()
-    assert len(list(tmp_path.iterdir())) == len(survivors) + 1
+    for method in ("faquad", "la"):
+        assert _entry(tmp_path, mini, method).exists()
+    assert len(list(tmp_path.iterdir())) == len(survivors) + 2
 
 
 def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
                                               monkeypatch):
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
     fields = cache._HEADER.unpack(
-        _entry(tmp_path).read_bytes()[:cache._HEADER.size])
+        _entry(tmp_path, mini).read_bytes()[:cache._HEADER.size])
     assert fields[1] == cache.VERSION == 2
     assert fields[15] == QUADRATURE_REFINE_TOL
     key = cache.profile_key(mini.path, mini.grid, 2, "faquad")
@@ -174,7 +194,7 @@ def test_any_truncation_or_byte_flip_is_recomputed(tmp_path, mini,
                                                    fake_build, data):
     d = str(tmp_path)
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    entry = _entry(tmp_path)
+    entry = _entry(tmp_path, mini)
     blob = bytearray(entry.read_bytes())
     if data.draw(st.booleans(), label="truncate"):
         blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -188,7 +208,7 @@ def test_any_truncation_or_byte_flip_is_recomputed(tmp_path, mini,
 def test_mismatched_parameters_are_refused(tmp_path, mini, fake_build):
     d = str(tmp_path)
     prof = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
-    entry = next(tmp_path.glob("profile-*.bin"))
+    entry = _entry(tmp_path, mini)
     other = mini.with_target(3)
     with open(entry, "rb") as fp:
         with pytest.raises(CacheError):
@@ -208,6 +228,81 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert str(cache.cache_dir(str(tmp_path / "x"))).endswith("x")
     monkeypatch.delenv("TRAPMORPH_CACHE_DIR")
     assert ".cache" in str(cache.cache_dir(None))
+
+
+def test_cold_design_stores_both_methods_from_one_sweep(tmp_path, mini,
+                                                       monkeypatch):
+    # real eigensolves on a 256-point grid: the same refinement as the
+    # preset's 512 points at half the cost
+    coarse = replace(mini, grid=replace(mini.grid, n=256))
+    path, grid, n = coarse.path, coarse.grid, coarse.n_target
+    alone = tm.build_profile(path, grid, n, method="la")
+    buf = io.BytesIO()
+    cache.write_profile(buf, alone, path, grid, n)
+    la_bytes = buf.getvalue()
+
+    solves = []
+    eigensolve = schedule.eigensolve
+
+    def counted(p, *args, **kwargs):
+        solves.append(p.A)
+        return eigensolve(p, *args, **kwargs)
+
+    monkeypatch.setattr(schedule, "eigensolve", counted)
+    cold = tmp_path / "cold"
+    faquad = cache.cached_profile(path, grid, n, method="faquad",
+                                  directory=str(cold))
+    assert sorted(cold.iterdir()) == sorted(
+        _entry(cold, coarse, m) for m in ("faquad", "la"))
+    assert _entry(cold, coarse, "la").read_bytes() == la_bytes
+    # no node of either profile was solved twice
+    assert len(solves) == len(np.union1d(faquad.lambda_grid,
+                                         alone.lambda_grid))
+
+    # a valid LA entry already there is neither rebuilt nor rewritten
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    la_entry = _entry(warm, coarse, "la")
+    la_entry.write_bytes(la_bytes)
+    os.utime(la_entry, ns=(10**18, 10**18))
+    solves.clear()
+    cache.cached_profile(path, grid, n, method="faquad", directory=str(warm))
+    assert la_entry.read_bytes() == la_bytes
+    assert la_entry.stat().st_mtime_ns == 10**18
+    assert len(solves) == len(faquad.lambda_grid)
+    assert (_entry(warm, coarse).read_bytes()
+            == _entry(cold, coarse).read_bytes())
+
+
+def test_failed_companion_keeps_requested_profile(tmp_path, mini, fake_build,
+                                                  monkeypatch):
+    d = str(tmp_path)
+    companion = _entry(tmp_path, mini, "la")
+    # a directory where the companion's temporary file would be opened
+    blocker = companion.with_suffix(".tmp.%d" % os.getpid())
+    blocker.mkdir()
+    prof = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
+    assert fake_build["n"] == 2
+    assert not companion.exists() and blocker.is_dir()
+    with open(_entry(tmp_path, mini), "rb") as fp:
+        back = cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
+    assert np.array_equal(back.lambda_grid, prof.lambda_grid)
+    assert np.array_equal(back.g, prof.g)
+
+    # a companion whose build fails is skipped the same way
+    build = cache.build_profile
+
+    def no_la(path, grid, n, method="faquad", store=None):
+        if method == "la":
+            raise FlatDirectionError("LA integrand vanishes")
+        return build(path, grid, n, method=method, store=store)
+
+    monkeypatch.setattr(cache, "build_profile", no_la)
+    other = mini.with_target(3)
+    prof = cache.cached_profile(other.path, other.grid, 3, directory=d)
+    assert len(prof.lambda_grid) == 257
+    assert _entry(tmp_path, other).exists()
+    assert not _entry(tmp_path, other, "la").exists()
 
 
 def test_session_profile_cache_round_trips_real_data(mini, faquad_profile,

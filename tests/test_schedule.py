@@ -1,7 +1,11 @@
 """Ramp design: adiabaticity profiles, inversion, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
@@ -76,10 +80,25 @@ def test_build_profile_small_start_converges(mini, la_profile):
     assert_allclose(prof.integral, la_profile.integral, rtol=1e-3)
 
 
-def test_fresh_profile_reports_its_build(faquad_profile, la_profile):
-    # the session cache starts empty, so both fixtures were built here
-    for prof in (faquad_profile, la_profile):
-        assert prof.evaluations == len(prof.lambda_grid)  # no node dropped
+def test_fresh_profile_reports_its_build(mini):
+    # a 256-point grid and 128 start nodes keep these builds short
+    grid = replace(mini.grid, n=256)
+    store = {}
+    la = tm.build_profile(mini.path, grid, 2, method="la", nodes=128,
+                          store=store)
+    faquad = tm.build_profile(mini.path, grid, 2, method="faquad", nodes=128,
+                              store=store)
+    alone = tm.build_profile(mini.path, grid, 2, method="faquad", nodes=128)
+    # a standalone build solves every node once and drops none
+    for prof in (la, alone):
+        assert prof.evaluations == len(prof.lambda_grid)
+    # sharing LA's nodes, FAQUAD solves only the ones LA lacked ...
+    assert faquad.evaluations == len(
+        np.setdiff1d(faquad.lambda_grid, la.lambda_grid)) > 0
+    # ... and still yields the standalone profile bit for bit
+    assert np.array_equal(faquad.lambda_grid, alone.lambda_grid)
+    assert np.array_equal(faquad.g, alone.g)
+    for prof in (la, faquad, alone):
         assert prof.max_deviation <= QUADRATURE_REFINE_TOL
 
 
@@ -93,9 +112,11 @@ def peak_calls(monkeypatch):
     """Replace the eigensolves behind g with _peak_g; record batch sizes."""
     calls = []
 
-    def g_values(path, grid, n, lam, k, method):
+    def g_values(path, grid, n, lam, k, store):
         calls.append(len(lam))
-        return _peak_g(lam)
+        g = _peak_g(lam)
+        store.update(zip(lam.tolist(), zip(g.tolist(), g.tolist())))
+        return np.column_stack((g, g))
 
     monkeypatch.setattr(schedule, "_g_values", g_values)
     return calls
@@ -231,6 +252,22 @@ def test_reversal(mini, faquad_profile):
     assert rev.reversed() is sched
 
 
+# durations over seven decades, through both session profiles
+durations = st.floats(1e-3, 1e4)
+
+
+@settings(deadline=None)
+@given(t_f=durations)
+def test_reversal_properties(mini, faquad_profile, la_profile, t_f):
+    for prof in (faquad_profile, la_profile):
+        sched = tm.invert_profile(prof, mini.path, t_f)
+        rev = sched.reversed()
+        assert rev.times[0] == 0.0 and rev.times[-1] == t_f
+        assert np.all(np.diff(rev.times) > 0.0)
+        assert np.array_equal(rev.A_values, sched.A_values[::-1])
+        assert rev.reversed() is sched
+
+
 # --- serialization ------------------------------------------------------
 
 def test_text_round_trip_is_exact(mini, faquad_profile):
@@ -245,6 +282,18 @@ def test_text_round_trip_is_exact(mini, faquad_profile):
     for f in ("A0", "Af", "B0", "kappa", "eps", "C", "n_target"):
         assert getattr(back.path, f) == getattr(sched.path, f)
     assert text.startswith("# trapmorph schedule v1")
+
+
+@settings(deadline=None)
+@given(t_f=durations)
+def test_text_round_trip_properties(mini, faquad_profile, la_profile, t_f):
+    for prof in (faquad_profile, la_profile):
+        sched = tm.invert_profile(prof, mini.path, t_f)
+        back = Schedule.from_text(sched.to_text())
+        assert np.array_equal(back.times, sched.times)
+        assert np.array_equal(back.A_values, sched.A_values)
+        assert back.t_f == sched.t_f == t_f
+        assert back.c == sched.c
 
 
 def test_from_text_rejects_garbage():
