@@ -206,7 +206,7 @@ def _build_parser():
         p.add_argument("--preset", default="mini",
                        help="preset name (see `presets list`)")
         p.add_argument("--n", type=int, default=None,
-                       help="override the preset target level")
+                       help="override the preset target level (n >= 1)")
         p.add_argument("--cache-dir", default=None,
                        help="profile cache directory (default: "
                             "$TRAPMORPH_CACHE_DIR or ~/.cache/trapmorph)")

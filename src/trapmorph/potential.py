@@ -20,7 +20,7 @@ Closed-form geometry below is the small-bias expansion; its validity bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +30,9 @@ from .errors import RegimeError
 # Operational reading of the "much less than" validity conditions: the
 # ratio to the bound must not exceed this (keeps linear-shift errors ~1%).
 MUCH_LESS_THAN = 0.1
+# Relative tolerance on the switch's asymptotes: B(A0) within this of B0,
+# B(Af) within it (times B0) of 0.
+SWITCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,6 @@ class DeformationPath:
     eps: float
     C: float
     n_target: int = 0
-    _bnd_tol: float = field(default=1e-6, repr=False)
 
     def __post_init__(self):
         if not (self.A0 < 0.0 < self.Af):
@@ -190,9 +192,9 @@ class DeformationPath:
         if self.n_target < 0:
             raise RegimeError("n_target must be >= 0")
         # asymptotic boundary conditions of the switch
-        if not (self.B0 * (1.0 - self._bnd_tol) <= self.beta(self.A0) <= self.B0):
+        if not (self.B0 * (1.0 - SWITCH_TOL) <= self.beta(self.A0) <= self.B0):
             raise RegimeError("B(A0) not within tolerance of B0; kappa too soft?")
-        if not (0.0 <= self.beta(self.Af) <= self.B0 * self._bnd_tol):
+        if not (0.0 <= self.beta(self.Af) <= self.B0 * SWITCH_TOL):
             raise RegimeError("B(Af) not close enough to 0; kappa too soft?")
 
     def beta(self, A):

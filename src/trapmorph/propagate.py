@@ -49,7 +49,7 @@ class Wavefunction:
         if len(self.values) != self.grid.n:
             raise GridError("amplitude array does not match grid")
         n = self.norm()
-        if abs(n - 1.0) > 1e-10:
+        if not abs(n - 1.0) <= 1e-10:  # NaN fails too
             raise GridError("wavefunction not normalized: |1-norm| = %.3e"
                             % abs(n - 1.0))
 
@@ -131,19 +131,18 @@ def propagate(psi0: Wavefunction, drive, dt: float,
     (t, norm, <x>, fidelity-to-target) is appended (fidelity column empty
     when no target is given).  `target` is used for nothing else.
 
-    Every CHECK_STRIDE steps, and at the end, raises PropagationError on
-    norm drift beyond 1e-8 and ConfinementError when probability
-    accumulates at the grid edge (reflection).
+    At the start, every CHECK_STRIDE steps and at the end, raises
+    PropagationError when the norm drifts beyond 1e-8 or is not finite,
+    and ConfinementError when probability accumulates at the grid edge
+    (reflection).  A dt outside (0, STEP_LIMIT / max(1, omega_max)],
+    NaN included, raises PropagationError before any step.
     """
     d = _as_drive(drive)
     T = d.t_f
-    if dt <= 0.0:
-        raise PropagationError("dt must be positive")
-    if dt > STEP_LIMIT / max(1.0, d.omega_max):
-        raise PropagationError(
-            "dt = %g too coarse for omega_max = %g (limit %g)"
-            % (dt, d.omega_max, STEP_LIMIT / max(1.0, d.omega_max))
-        )
+    dt_max = STEP_LIMIT / max(1.0, d.omega_max)
+    if not 0.0 < dt <= dt_max:
+        raise PropagationError("dt = %g outside (0, %g] for omega_max = %g"
+                               % (dt, dt_max, d.omega_max))
 
     grid = psi0.grid
     x = grid.x
@@ -157,21 +156,33 @@ def propagate(psi0: Wavefunction, drive, dt: float,
     if rem < 1e-12 * max(1.0, T):
         rem = 0.0
 
-    norms = [psi0.norm()]
+    drift = 0.0
+
+    def observe(t, state, check, dump):
+        # norm of the state at t; each check also fails on NaN
+        nonlocal drift
+        w = np.abs(state) ** 2
+        nrm = float(np.sum(w) * grid.dx)
+        if check:
+            err = abs(nrm - 1.0)
+            drift = max(drift, err)
+            if not err <= NORM_DRIFT_LIMIT:
+                raise PropagationError("norm drift %.3e at t = %.12g" % (err, t))
+            bm = grid.boundary_mass(state)
+            if not bm <= BOUNDARY_MASS_LIMIT:
+                raise ConfinementError("boundary mass %.3e at t = %.12g: "
+                                       "reflection, grid too small" % (bm, t))
+        if dump:
+            mx = float(np.sum(w * x) * grid.dx)
+            f = ("" if target is None else "%.12g"
+                 % abs(np.sum(np.conj(target.values) * state) * grid.dx))
+            trajectory.write("%.12g,%.12g,%.12g,%s\n" % (t, nrm, mx, f))
+        return nrm
+
     psi = psi0.values.astype(complex)
-
-    def dump(t, state_x):
-        nrm = float(np.sum(np.abs(state_x) ** 2) * grid.dx)
-        mx = float(np.sum(np.abs(state_x) ** 2 * x) * grid.dx)
-        if target is not None:
-            f = abs(np.sum(np.conj(target.values) * state_x) * grid.dx)
-            trajectory.write("%.12g,%.12g,%.12g,%.12g\n" % (t, nrm, mx, f))
-        else:
-            trajectory.write("%.12g,%.12g,%.12g,\n" % (t, nrm, mx))
-
     if trajectory is not None:
         trajectory.write("t,norm,mean_x,fidelity\n")
-        dump(0.0, psi)
+    observe(0.0, psi, True, trajectory is not None)
 
     # m steps of dt, then one step of the remainder: a single merged step
     # is exactly an unmerged Strang step
@@ -202,38 +213,14 @@ def propagate(psi0: Wavefunction, drive, dt: float,
             if want_dump or want_check:
                 # close the pending half-kinetic on a copy to observe the
                 # true state at t = (j+1) h without breaking the merge
-                closed = np.fft.ifft(psi_k * kin_half)
-                if want_check:
-                    nrm = float(np.sum(np.abs(closed) ** 2) * grid.dx)
-                    norms.append(nrm)
-                    if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
-                        raise PropagationError(
-                            "norm drift %.3e at step %d" % (abs(nrm - 1.0), j + 1)
-                        )
-                    bm = grid.boundary_mass(closed)
-                    if bm > BOUNDARY_MASS_LIMIT:
-                        raise ConfinementError(
-                            "boundary mass %.3e at step %d: reflection, "
-                            "grid too small" % (bm, j + 1)
-                        )
-                if want_dump:
-                    dump((j + 1) * h, closed)
+                observe((j + 1) * h, np.fft.ifft(psi_k * kin_half),
+                        want_check, want_dump)
             kernels.apply_phase_table(psi_k, kin_full)
 
-    nrm = float(np.sum(np.abs(psi) ** 2) * grid.dx)
-    norms.append(nrm)
-    drift = max(abs(v - 1.0) for v in norms)
-    if drift > NORM_DRIFT_LIMIT:
-        raise PropagationError("norm drift %.3e over the run" % drift)
-    bm = grid.boundary_mass(psi)
-    if bm > BOUNDARY_MASS_LIMIT:
-        raise ConfinementError(
-            "final boundary mass %.3e: reflection, grid too small" % bm
-        )
-
+    nrm = observe(T, psi, True, False)
     final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
     if trajectory is not None:
-        dump(T, final.values)
+        observe(T, final.values, False, True)
     steps = m + (1 if rem > 0.0 else 0)
     return PropagationReport(final_state=final, norm_drift=drift,
                              steps=steps, dt=dt)

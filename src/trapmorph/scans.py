@@ -47,19 +47,16 @@ class Preset:
     path: DeformationPath
     grid: SpatialGrid
     dt: float
-    k: int
     tf_window: tuple  # (lo, hi) in internal units
 
     @property
     def n_target(self) -> int:
         return self.path.n_target
 
-    def with_target(self, n: int) -> "Preset":
-        if n < 1:
-            raise UsageError("target level must be >= 1")
-        path = path_for_target(self.path.A0, self.path.B0, self.path.kappa,
-                               self.path.eps, n)
-        return replace(self, path=path, k=n + 3)
+    @property
+    def k(self) -> int:
+        """Levels to solve: the target and three above it."""
+        return self.path.n_target + 3
 
     @property
     def time_to_SI(self) -> float:
@@ -85,7 +82,6 @@ def mini_preset(n_target: int = 2) -> Preset:
         path=path,
         grid=SpatialGrid(-20.0, 20.0, 512),
         dt=0.005,
-        k=n_target + 3,
         tf_window=(10.0, 2000.0),
     )
 
@@ -112,7 +108,6 @@ def beryllium_preset(n_target: int = 4) -> Preset:
         path=path,
         grid=SpatialGrid(-1100.0, 1100.0, 16384),
         dt=0.2,
-        k=n_target + 3,
         tf_window=window,
     )
 
@@ -121,6 +116,9 @@ PRESETS: dict = {"mini": mini_preset, "beryllium": beryllium_preset}
 
 
 def get_preset(name: str, n_target: Optional[int] = None) -> Preset:
+    """The named preset, retargeted to level n_target >= 1 when given."""
+    if n_target is not None and n_target < 1:
+        raise UsageError("target level must be >= 1, got %d" % n_target)
     try:
         factory = PRESETS[name]
     except KeyError:

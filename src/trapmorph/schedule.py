@@ -265,24 +265,24 @@ class Schedule:
     def from_text(cls, text: str) -> "Schedule":
         meta = {}
         ts, As = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("path:"):
-                    for part in body[5:].split(","):
-                        key, _, val = part.partition("=")
-                        meta[key.strip()] = val.strip()
-                elif "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            t, a = line.split()
-            ts.append(float(t))
-            As.append(float(a))
         try:
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("path:"):
+                        for part in body[5:].split(","):
+                            key, _, val = part.partition("=")
+                            meta[key.strip()] = val.strip()
+                    elif "=" in body:
+                        key, _, val = body.partition("=")
+                        meta[key.strip()] = val.strip()
+                    continue
+                t, a = line.split()
+                ts.append(float(t))
+                As.append(float(a))
             path = DeformationPath(
                 A0=float(meta["A0"]), Af=float(meta["Af"]), B0=float(meta["B0"]),
                 kappa=float(meta["kappa"]), eps=float(meta["eps"]),

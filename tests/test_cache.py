@@ -48,7 +48,7 @@ def test_key_separates_configurations(tmp_path, mini, fake_build):
     d = str(tmp_path)
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
     cache.cached_profile(mini.path, mini.grid, 2, method="la", directory=d)
-    other = mini.with_target(3)
+    other = tm.mini_preset(3)
     cache.cached_profile(other.path, other.grid, 3, directory=d)
     # each FAQUAD miss also stored LA; the LA lookup was a hit
     assert fake_build["n"] == 4
@@ -119,7 +119,7 @@ def test_version_1_entry_is_recomputed(tmp_path, mini, fake_build):
 def test_writing_removes_superseded_entries(tmp_path, mini, fake_build,
                                             monkeypatch):
     d = str(tmp_path)
-    other = mini.with_target(3)
+    other = tm.mini_preset(3)
     cache.cached_profile(other.path, other.grid, 3, directory=d)
     # the two current-format entries of other inputs
     survivors = {e.name: e.read_bytes() for e in tmp_path.iterdir()}
@@ -209,7 +209,7 @@ def test_mismatched_parameters_are_refused(tmp_path, mini, fake_build):
     d = str(tmp_path)
     prof = cache.cached_profile(mini.path, mini.grid, 2, directory=d)
     entry = _entry(tmp_path, mini)
-    other = mini.with_target(3)
+    other = tm.mini_preset(3)
     with open(entry, "rb") as fp:
         with pytest.raises(CacheError):
             cache.read_profile(fp, other.path, mini.grid, 3, "faquad")
@@ -298,7 +298,7 @@ def test_failed_companion_keeps_requested_profile(tmp_path, mini, fake_build,
         return build(path, grid, n, method=method, store=store)
 
     monkeypatch.setattr(cache, "build_profile", no_la)
-    other = mini.with_target(3)
+    other = tm.mini_preset(3)
     prof = cache.cached_profile(other.path, other.grid, 3, directory=d)
     assert len(prof.lambda_grid) == 257
     assert _entry(tmp_path, other).exists()

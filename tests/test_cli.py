@@ -57,6 +57,10 @@ def test_eigen_bad_inputs(capsys):
     assert run(["eigen", "--inline", "A=0.5"], capsys)[0] == 2
     assert run(["eigen", "--inline", "A=0.5,B=0", "--grid", "bogus"],
                capsys)[0] == 2
+    # presets are retargeted to n >= 1 only; --inline holds unbiased traps
+    for n in ("0", "-1"):
+        code, _, err = run(["eigen", "--n", n], capsys)
+        assert code == 2 and "usage error:" in err
     # unbounded potential is an input-domain error, not a crash
     assert run(["eigen", "--inline", "A=-0.5,B=0"], capsys)[0] == 1
 

@@ -1,15 +1,17 @@
 """Split-operator propagation: conservation laws, accuracy, reporting."""
 
 import io
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph.errors import GridError, PropagationError
+from trapmorph.errors import ConfinementError, GridError, PropagationError
 
 HARMONIC = tm.PotentialParams(0.5, 0.0, 0.0)  # omega = 1
+FLAT = tm.PotentialParams(0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,8 @@ def test_wavefunction_construction(grid, harmonic_eig):
         tm.Wavefunction(grid, np.zeros(7, dtype=complex))
     with pytest.raises(GridError):
         tm.Wavefunction.normalized(grid, np.zeros(grid.n))
+    with pytest.raises(GridError):
+        tm.Wavefunction(grid, np.full(grid.n, np.nan, dtype=complex))
 
 
 def test_stationary_states_stay_put(grid, harmonic_eig):
@@ -129,6 +133,40 @@ def test_dt_guard(grid, harmonic_eig, mini):
         tm.propagate(psi, tm.Drive.static(HARMONIC, 1.0), dt=0.3)
     with pytest.raises(PropagationError):
         tm.propagate(psi, tm.Drive.static(HARMONIC, 1.0), dt=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(PropagationError, match="outside"):
+            tm.propagate(psi, tm.Drive.static(HARMONIC, 1.0), dt=bad)
+
+
+# --- the checks inside propagate: at a checkpoint and at the end ----------
+
+@pytest.mark.parametrize("stride, where", [(10, "0.6"), (5000, "1")])
+def test_nan_drive_fails(harmonic_eig, monkeypatch, stride, where):
+    # NaN compares false with everything: the norm check must still fire,
+    # at the first checkpoint after the NaN (step 60) or at t_f
+    monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
+                        stride)
+    psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
+    # harmonic trap whose coefficient turns NaN from t = 0.5 on
+    nan_drive = tm.Drive(lambda t: np.where(t < 0.5, 0.5, np.nan),
+                         lambda A: np.zeros_like(A), 0.0, 1.0, 1.0)
+    with pytest.raises(PropagationError, match="norm drift nan at t = %s$"
+                       % where):
+        tm.propagate(psi, nan_drive, dt=0.01)
+
+
+@pytest.mark.parametrize("t_f, stride, where", [(10.0, 50, "2.5"),
+                                                (4.0, 5000, "4")])
+def test_kicked_packet_reaches_the_edge(grid, monkeypatch, t_f, stride,
+                                        where):
+    # a Gaussian moving at speed 5 through a flat trap reaches the outer 5%
+    # of [-20, 20]: caught at a checkpoint long before t_f, or at t_f
+    monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
+                        stride)
+    kick = tm.Wavefunction.normalized(
+        grid, np.exp(-0.5 * grid.x**2 + 5j * grid.x))
+    with pytest.raises(ConfinementError, match="at t = %s:" % where):
+        tm.propagate(kick, tm.Drive.static(FLAT, t_f), dt=0.01)
 
 
 def test_schedule_convergence_in_dt(mini, mini_eigs, faquad_profile):

@@ -37,13 +37,13 @@ def test_beryllium_preset_is_si():
 
 
 def test_with_target_rebuilds_bias(mini):
-    p3 = mini.with_target(3)
+    p3 = tm.get_preset("mini", 3)
     assert p3.n_target == 3
     assert_allclose(p3.path.C, tm.bias_for_target(3, -0.25, 0.5 / 256.0),
                     rtol=1e-14)
     assert p3.k == 6
     with pytest.raises(UsageError):
-        mini.with_target(0)
+        tm.get_preset("mini", 0)
 
 
 def test_get_preset(mini):

@@ -301,3 +301,8 @@ def test_from_text_rejects_garbage():
         Schedule.from_text("# trapmorph schedule v1\n0 0\n1 1\n")
     with pytest.raises(ScheduleError):
         Schedule.from_text("")
+    good = tm.linear_schedule(tm.mini_preset().path, 10.0).to_text()
+    for line in ("garbage line", "1 2 3", "1.0"):
+        for text in (line, good + line + "\n"):
+            with pytest.raises(ScheduleError):
+                Schedule.from_text(text)
