@@ -12,16 +12,24 @@ multiple of dt the same loop runs once more for a single step of the
 remainder, landing exactly on t_f.  Every step is unitary up to rounding,
 which the norm checkpoints verify rather than enforce.
 
+The transforms are `scipy.fft` calls that overwrite the one state buffer
+the call owns.  The potential phase is split in two: the odd bias factor
+exp(-i h C x) is a table built once per segment, like the kinetic tables,
+and the even part A x^2 + B x^4 is a real phase evaluated with cos/sin on
+one mirror half of a grid symmetric about 0 (`kernels.mirror_half`).
+
 Fidelity here is the modulus |<target|psi>| - not its square.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from . import kernels
 from .errors import ConfinementError, GridError, PropagationError
@@ -79,10 +87,14 @@ class PropagationReport:
     norm_drift: float
     steps: int
     dt: float
+    wall_s: float  # wall time of the propagate call
 
 
 class Drive:
-    """Adapter mapping step-midpoint times to potential coefficients."""
+    """Adapter mapping step-midpoint times to potential coefficients.
+
+    Raises PropagationError unless 0 <= t_f < inf and 0 < omega_max < inf.
+    """
 
     def __init__(self, A_fn, B_fn, C: float, t_f: float, omega_max: float):
         self._A_fn = A_fn
@@ -90,6 +102,13 @@ class Drive:
         self.C = float(C)
         self.t_f = float(t_f)
         self.omega_max = float(omega_max)
+        # comparisons that NaN fails too
+        if not 0.0 <= self.t_f < math.inf:
+            raise PropagationError("t_f = %r is not a finite duration >= 0"
+                                   % self.t_f)
+        if not 0.0 < self.omega_max < math.inf:
+            raise PropagationError("omega_max = %r is not finite and > 0"
+                                   % self.omega_max)
 
     def coeffs(self, t: np.ndarray):
         A = np.asarray(self._A_fn(t), dtype=float)
@@ -137,6 +156,7 @@ def propagate(psi0: Wavefunction, drive, dt: float,
     (reflection).  A dt outside (0, STEP_LIMIT / max(1, omega_max)],
     NaN included, raises PropagationError before any step.
     """
+    start = time.perf_counter()
     d = _as_drive(drive)
     T = d.t_f
     dt_max = STEP_LIMIT / max(1.0, d.omega_max)
@@ -146,10 +166,9 @@ def propagate(psi0: Wavefunction, drive, dt: float,
 
     grid = psi0.grid
     x = grid.x
-    x2 = x * x
-    x4 = x2 * x2
+    u = kernels.mirror_half(x * x)
+    even = np.empty(len(u), dtype=complex)
     k2 = grid.wavenumbers**2
-    C = d.C
 
     m = int(math.floor(T / dt + 1e-9))
     rem = T - m * dt
@@ -179,7 +198,7 @@ def propagate(psi0: Wavefunction, drive, dt: float,
             trajectory.write("%.12g,%.12g,%.12g,%s\n" % (t, nrm, mx, f))
         return nrm
 
-    psi = psi0.values.astype(complex)
+    psi = psi0.values.astype(complex)  # a copy: the transforms overwrite it
     if trajectory is not None:
         trajectory.write("t,norm,mean_x,fidelity\n")
     observe(0.0, psi, True, trajectory is not None)
@@ -195,27 +214,30 @@ def propagate(psi0: Wavefunction, drive, dt: float,
         A_mid, B_mid = d.coeffs(t_mid)
         kin_full = np.exp(-0.5j * h * k2)
         kin_half = np.exp(-0.25j * h * k2)
+        odd = np.exp(-1j * h * d.C * x)
 
-        psi_k = np.fft.fft(psi)
-        kernels.apply_phase_table(psi_k, kin_half)
+        # psi alternates between position and momentum space in place
+        psi = scipy.fft.fft(psi, overwrite_x=True)
+        kernels.apply_phase_table(psi, kin_half)
         last = len(t_mid) - 1
         for j in range(len(t_mid)):
-            psi_x = np.fft.ifft(psi_k)
-            kernels.apply_quartic_phase(psi_x, x, x2, x4,
-                                        A_mid[j], B_mid[j], C, h)
-            psi_k = np.fft.fft(psi_x)
+            psi = scipy.fft.ifft(psi, overwrite_x=True)
+            kernels.apply_quartic_phase(psi, u, even, odd,
+                                        A_mid[j], B_mid[j], h)
+            psi = scipy.fft.fft(psi, overwrite_x=True)
             if j == last:
-                kernels.apply_phase_table(psi_k, kin_half)
-                psi = np.fft.ifft(psi_k)
+                kernels.apply_phase_table(psi, kin_half)
+                psi = scipy.fft.ifft(psi, overwrite_x=True)
                 break
             want_dump = trajectory is not None and (j + 1) % traj_stride == 0
             want_check = (j + 1) % CHECK_STRIDE == 0
             if want_dump or want_check:
                 # close the pending half-kinetic on a copy to observe the
                 # true state at t = (j+1) h without breaking the merge
-                observe((j + 1) * h, np.fft.ifft(psi_k * kin_half),
+                observe((j + 1) * h,
+                        scipy.fft.ifft(psi * kin_half, overwrite_x=True),
                         want_check, want_dump)
-            kernels.apply_phase_table(psi_k, kin_full)
+            kernels.apply_phase_table(psi, kin_full)
 
     nrm = observe(T, psi, True, False)
     final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
@@ -223,7 +245,8 @@ def propagate(psi0: Wavefunction, drive, dt: float,
         observe(T, final.values, False, True)
     steps = m + (1 if rem > 0.0 else 0)
     return PropagationReport(final_state=final, norm_drift=drift,
-                             steps=steps, dt=dt)
+                             steps=steps, dt=dt,
+                             wall_s=time.perf_counter() - start)
 
 
 def fidelity(psi: Wavefunction, target: Wavefunction) -> float:

@@ -1,8 +1,10 @@
 """Phase kernels of the split-operator step."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
+import trapmorph as tm
 from trapmorph import kernels
 
 
@@ -16,7 +18,29 @@ def test_kernels_modify_in_place():
     a = _random_state(128, seed=1)
     before = a.copy()
     x = np.linspace(-5.0, 5.0, 128)
-    kernels.apply_quartic_phase(a, x, x * x, x**4, 0.5, 0.0, 0.0, 0.01)
+    u = kernels.mirror_half(x * x)
+    odd = np.ones(128, dtype=complex)
+    kernels.apply_quartic_phase(a, u, np.empty(len(u), dtype=complex), odd,
+                                0.5, 0.0, 0.01)
     assert not np.array_equal(a, before)
     # pure phase: magnitudes untouched
     assert_allclose(np.abs(a), np.abs(before), rtol=1e-15)
+
+
+@pytest.mark.parametrize("grid, folded", [
+    (tm.SpatialGrid(-20.0, 20.0, 512), True),         # symmetric, even n
+    (tm.SpatialGrid(-31.9375, 31.9375, 511), True),   # odd n, exact dx
+    (tm.SpatialGrid(-20.0, 20.0, 511), False),        # odd n, inexact dx
+    (tm.SpatialGrid(-20.0, 24.0, 512), False),        # asymmetric
+])
+def test_folded_phase_matches_direct_exp(grid, folded):
+    x = grid.x
+    u = kernels.mirror_half(x * x)
+    assert len(u) == (grid.n // 2 + 1 if folded else grid.n)
+    A, B, C, dt = -0.25, 2e-3, 0.09375, 0.1
+    psi = np.ones(grid.n, dtype=complex)
+    kernels.apply_quartic_phase(psi, u, np.empty(len(u), dtype=complex),
+                                np.exp(-1j * dt * C * x), A, B, dt)
+    direct = np.exp(-1j * dt * (A * x**2 + B * x**4 + C * x))
+    assert np.max(np.abs(psi - direct)) <= 1e-12
+    assert np.max(np.abs(np.abs(psi) - 1.0)) <= 1e-14

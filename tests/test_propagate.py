@@ -127,6 +127,33 @@ def test_partial_final_step_matches_reference(mini, mini_eigs,
     assert abs(F - ref.overlap(target.values, psi_ref, dx)) <= 1e-9
 
 
+def test_matches_reference_on_an_asymmetric_grid(mini, faquad_profile,
+                                                 perfbench_module):
+    # a grid not symmetric about 0 takes the unfolded potential phase; one
+    # run crosses the step-5000 checkpoint and ends on a partial step
+    ref = perfbench_module("reference")
+    grid = tm.SpatialGrid(-20.0, 24.0, 512)
+    eig0 = tm.eigensolve(mini.path.initial, grid, mini.k, refine=False)
+    eigf = tm.eigensolve(mini.path.final, grid, mini.k, refine=False)
+    psi0 = tm.Wavefunction.from_eigenstate(eig0, 2)
+    target = tm.Wavefunction.from_eigenstate(eigf, 2)
+    t_f = 25.0123
+    sched = tm.invert_profile(faquad_profile, mini.path, t_f)
+    rep = tm.propagate(psi0, sched, mini.dt)
+    assert rep.steps == 5003 > sys.modules["trapmorph.propagate"].CHECK_STRIDE
+    psi_ref = ref.strang(psi0.values, grid.x, sched.times, sched.A_values,
+                         mini.path, mini.dt, t_f)
+    F = tm.fidelity(rep.final_state, target)
+    assert abs(F - ref.overlap(target.values, psi_ref, grid.dx)) <= 1e-10
+    assert 1.0 - ref.overlap(psi_ref, rep.final_state.values, grid.dx) <= 1e-10
+
+
+def test_report_wall_time(grid, harmonic_eig):
+    psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
+    rep = tm.propagate(psi, tm.Drive.static(HARMONIC, 1.0), dt=0.01)
+    assert 0.0 < rep.wall_s < float("inf")
+
+
 def test_dt_guard(grid, harmonic_eig, mini):
     psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
     with pytest.raises(PropagationError):
@@ -194,6 +221,14 @@ def test_drive_adapters(mini, faquad_profile):
     assert float(A0) == float(A3) == 0.5
     assert float(B0) == float(B3) == 0.0
     assert st.C == 0.0
+    # a duration must be finite and >= 0, omega_max finite and > 0
+    for t_f, w in ((-1.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+                   (5.0, float("nan")), (5.0, float("inf")), (5.0, 0.0),
+                   (5.0, -1.0)):
+        with pytest.raises(PropagationError):
+            tm.Drive(lambda t: t, lambda A: A, 0.0, t_f, w)
+    with pytest.raises(PropagationError, match="t_f = -1"):
+        tm.Drive.static(HARMONIC, -1.0)
     # bare potential parameters are not a drive: Drive.static holds them
     eig = tm.eigensolve(mini.path.initial, mini.grid, 3, refine=False)
     psi = tm.Wavefunction.from_eigenstate(eig, 0)
