@@ -31,7 +31,8 @@ from .grid import SpatialGrid
 from .potential import PotentialParams
 from .scans import (METHODS, PRESETS, csv_preamble, csv_row_line,
                     default_tf_grid, emit_plot_script, get_preset,
-                    run_demultiplexing, run_scan, schedule_factory)
+                    on_step_grid, run_demultiplexing, run_scan,
+                    schedule_factory)
 
 _TIME_SUFFIXES = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -114,6 +115,8 @@ def cmd_eigen(args) -> int:
         params = preset.path.initial
         grid = preset.grid if not args.grid else _parse_grid(args.grid)
     k = args.k
+    if k < 1:
+        raise UsageError("--k must be >= 1, got %d" % k)
     eig = eigensolve(params, grid, k, refine=True)
     print("# j E mean_x prob_right")
     for j in range(k):
@@ -139,7 +142,7 @@ def cmd_scan(args) -> int:
     if args.demux:
         if not args.tf or "," in args.tf:
             raise UsageError("--demux wants a single --tf value")
-        tf = _parse_duration(args.tf, preset)
+        tf = on_step_grid(_parse_duration(args.tf, preset), preset.dt)
         F_fwd, F_bwd = run_demultiplexing(preset, args.method, tf,
                                           cache_dir=args.cache_dir)
         print("demux t_f=%.12g F_forward=%.12g F_backward=%.12g"

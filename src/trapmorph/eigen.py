@@ -24,6 +24,7 @@ from .potential import DeformationPath, PotentialParams
 
 SIGN_SCAN_THRESHOLD = 1e-8  # first component above this (from x_min) is made positive
 DEGENERACY_TOL = 1e-14
+NEIGHBOR_WINDOW = 2  # couplings of level n reach levels n-2 ... n+2
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +113,11 @@ def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
     return eig
 
 
+def levels_needed(n: int) -> int:
+    """Levels to solve for `couplings` at level n: 0 ... n + NEIGHBOR_WINDOW."""
+    return n + NEIGHBOR_WINDOW + 1
+
+
 @dataclass(frozen=True)
 class NeighborCoupling:
     """|<n| dH/dA |m>| and gaps E_n - E_m for the four nearest neighbors
@@ -132,7 +138,8 @@ def couplings(eig: EigenSet, path: DeformationPath, n: int) -> NeighborCoupling:
     k = eig.k
     if not 0 <= n < k:
         raise GridError("target index %d outside computed levels" % n)
-    nbrs = tuple(m for m in (n - 2, n - 1, n + 1, n + 2) if 0 <= m < k)
+    nbrs = tuple(m for m in range(n - NEIGHBOR_WINDOW, n + NEIGHBOR_WINDOW + 1)
+                 if m != n and 0 <= m < k)
     x = eig.grid.x
     dH = x * x + float(path.beta_prime(eig.lam)) * x**4
     psi_n = eig.state(n)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.fft
@@ -139,16 +138,12 @@ def _as_drive(obj) -> Drive:
     raise PropagationError("cannot interpret %r as a drive" % (obj,))
 
 
-def propagate(psi0: Wavefunction, drive, dt: float,
-              target: Optional[Wavefunction] = None,
-              trajectory=None, traj_stride: int = 100) -> PropagationReport:
+def propagate(psi0: Wavefunction, drive, dt: float) -> PropagationReport:
     """Integrate psi0 from t = 0 to the drive's t_f.
 
     drive: a Schedule, or a Drive (`Drive.static(params, t_f)` holds a
-    fixed trap).
-    trajectory: optional text stream; every traj_stride-th step a CSV row
-    (t, norm, <x>, fidelity-to-target) is appended (fidelity column empty
-    when no target is given).  `target` is used for nothing else.
+    fixed trap).  To sample the state along the way, say <x>(t) in a
+    fixed trap, chain calls: each report's final_state is the next psi0.
 
     At the start, every CHECK_STRIDE steps and at the end, raises
     PropagationError when the norm drifts beyond 1e-8 or is not finite,
@@ -177,31 +172,22 @@ def propagate(psi0: Wavefunction, drive, dt: float,
 
     drift = 0.0
 
-    def observe(t, state, check, dump):
-        # norm of the state at t; each check also fails on NaN
+    def check(t, state):
+        # norm of the state at t; fails on drift, edge mass and NaN
         nonlocal drift
-        w = np.abs(state) ** 2
-        nrm = float(np.sum(w) * grid.dx)
-        if check:
-            err = abs(nrm - 1.0)
-            drift = max(drift, err)
-            if not err <= NORM_DRIFT_LIMIT:
-                raise PropagationError("norm drift %.3e at t = %.12g" % (err, t))
-            bm = grid.boundary_mass(state)
-            if not bm <= BOUNDARY_MASS_LIMIT:
-                raise ConfinementError("boundary mass %.3e at t = %.12g: "
-                                       "reflection, grid too small" % (bm, t))
-        if dump:
-            mx = float(np.sum(w * x) * grid.dx)
-            f = ("" if target is None else "%.12g"
-                 % abs(np.sum(np.conj(target.values) * state) * grid.dx))
-            trajectory.write("%.12g,%.12g,%.12g,%s\n" % (t, nrm, mx, f))
+        nrm = float(np.sum(np.abs(state) ** 2) * grid.dx)
+        err = abs(nrm - 1.0)
+        drift = max(drift, err)
+        if not err <= NORM_DRIFT_LIMIT:
+            raise PropagationError("norm drift %.3e at t = %.12g" % (err, t))
+        bm = grid.boundary_mass(state)
+        if not bm <= BOUNDARY_MASS_LIMIT:
+            raise ConfinementError("boundary mass %.3e at t = %.12g: "
+                                   "reflection, grid too small" % (bm, t))
         return nrm
 
     psi = psi0.values.astype(complex)  # a copy: the transforms overwrite it
-    if trajectory is not None:
-        trajectory.write("t,norm,mean_x,fidelity\n")
-    observe(0.0, psi, True, trajectory is not None)
+    check(0.0, psi)
 
     # m steps of dt, then one step of the remainder: a single merged step
     # is exactly an unmerged Strang step
@@ -229,20 +215,15 @@ def propagate(psi0: Wavefunction, drive, dt: float,
                 kernels.apply_phase_table(psi, kin_half)
                 psi = scipy.fft.ifft(psi, overwrite_x=True)
                 break
-            want_dump = trajectory is not None and (j + 1) % traj_stride == 0
-            want_check = (j + 1) % CHECK_STRIDE == 0
-            if want_dump or want_check:
-                # close the pending half-kinetic on a copy to observe the
+            if (j + 1) % CHECK_STRIDE == 0:
+                # close the pending half-kinetic on a copy to check the
                 # true state at t = (j+1) h without breaking the merge
-                observe((j + 1) * h,
-                        scipy.fft.ifft(psi * kin_half, overwrite_x=True),
-                        want_check, want_dump)
+                check((j + 1) * h,
+                      scipy.fft.ifft(psi * kin_half, overwrite_x=True))
             kernels.apply_phase_table(psi, kin_full)
 
-    nrm = observe(T, psi, True, False)
+    nrm = check(T, psi)
     final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
-    if trajectory is not None:
-        observe(T, final.values, False, True)
     steps = m + (1 if rem > 0.0 else 0)
     return PropagationReport(final_state=final, norm_drift=drift,
                              steps=steps, dt=dt,

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eigen import eigensolve
+from .eigen import eigensolve, levels_needed
 from .errors import TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import DeformationPath, path_for_target
@@ -55,8 +55,8 @@ class Preset:
 
     @property
     def k(self) -> int:
-        """Levels to solve: the target and three above it."""
-        return self.path.n_target + 3
+        """Levels to solve: 0 ... n_target + 2, as `eigen.couplings` needs."""
+        return levels_needed(self.path.n_target)
 
     @property
     def time_to_SI(self) -> float:
@@ -246,11 +246,18 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
     )
 
 
+def on_step_grid(t_f: float, dt: float) -> float:
+    """t_f rounded to a whole number of dt steps, at least one."""
+    return max(1, round(t_f / dt)) * dt
+
+
 def run_demultiplexing(preset: Preset, method: str, t_f: float,
                        cache_dir: Optional[str] = None):
     """(F_forward, F_backward): morph double well -> harmonic with |n>,
-    then harmonic -> double well under the reversed schedule."""
-    sched = schedule_factory(preset, method, cache_dir)(float(t_f))
+    then harmonic -> double well under the reversed schedule, both at
+    on_step_grid(t_f, dt) so that the backward steps retrace the forward."""
+    sched = schedule_factory(preset, method, cache_dir)(
+        on_step_grid(t_f, preset.dt))
     pair = _endpoint_states(preset, include_ground=False)["n"]
     return (_final_fidelity(pair, sched, preset.dt),
             _final_fidelity(pair[::-1], sched.reversed(), preset.dt))

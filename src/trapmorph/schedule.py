@@ -33,7 +33,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import FlatDirectionError, ScheduleError
-from .eigen import couplings, eigensolve
+from .eigen import couplings, eigensolve, levels_needed
 from .grid import SpatialGrid
 from .potential import DeformationPath
 
@@ -99,7 +99,7 @@ PROFILE_METHODS = ("faquad", "la")  # column order of _g_values
 
 
 def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
-              lam: np.ndarray, k: int, store: dict) -> np.ndarray:
+              lam: np.ndarray, store: dict) -> np.ndarray:
     """(g_faquad, g_la) at each A in `lam`, one row per node.
 
     g is the sum of weight / gap^2 over the neighbours, the weight being
@@ -111,7 +111,8 @@ def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
     for i, a in enumerate(lam):
         pair = store.get(a)
         if pair is None:
-            eig = eigensolve(path.params_at(a), grid, k, refine=False)
+            eig = eigensolve(path.params_at(a), grid, levels_needed(n),
+                             refine=False)
             nc = couplings(eig, path, n)
             gap2 = nc.gaps**2
             pair = store[a] = (float(np.sum(nc.couplings / gap2)),
@@ -150,10 +151,9 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     column = PROFILE_METHODS.index(method)
     store = {} if store is None else store
     solved = len(store)
-    k = n + 3
 
     lam = np.linspace(path.A0, path.Af, nodes)
-    g = _g_values(path, grid, n, lam, k, store)[:, column]
+    g = _g_values(path, grid, n, lam, store)[:, column]
     lams, gs = [lam], [g]
     # intervals still to test: left/right ends and their g
     a, b, ga, gb = lam[:-1], lam[1:], g[:-1], g[1:]
@@ -165,7 +165,7 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                 "intervals at %d nodes; peak too sharp for the node cap"
                 % (100 * QUADRATURE_REFINE_TOL, len(a), count))
         mid = 0.5 * (a + b)
-        g_mid = _g_values(path, grid, n, mid, k, store)[:, column]
+        g_mid = _g_values(path, grid, n, mid, store)[:, column]
         lams.append(mid)
         gs.append(g_mid)
         count += len(mid)

@@ -61,6 +61,8 @@ def test_eigen_bad_inputs(capsys):
     for n in ("0", "-1"):
         code, _, err = run(["eigen", "--n", n], capsys)
         assert code == 2 and "usage error:" in err
+    code, _, err = run(["eigen", "--k", "0"], capsys)
+    assert code == 2 and "usage error:" in err
     # unbounded potential is an input-domain error, not a crash
     assert run(["eigen", "--inline", "A=-0.5,B=0"], capsys)[0] == 1
 
@@ -187,13 +189,17 @@ def test_scan_plot_script(tmp_path, capsys):
 
 
 def test_scan_demux(capsys, profile_cache):
-    code, out, _ = run(["scan", "--preset", "mini", "--method", "la",
-                        "--demux", "--tf", "90", "--cache-dir",
-                        profile_cache], capsys)
-    assert code == 0
-    assert out.startswith("demux t_f=90 ")
-    parts = dict(kv.split("=") for kv in out.split() if "=" in kv)
-    assert abs(float(parts["F_forward"]) - float(parts["F_backward"])) < 1e-6
+    # an off-grid t_f runs, and prints, rounded to whole steps (8217 of
+    # 0.005), so the backward run retraces the forward one
+    for tf, ran in (("90", "90"), ("41.0837", "41.085")):
+        code, out, _ = run(["scan", "--preset", "mini", "--method", "la",
+                            "--demux", "--tf", tf, "--cache-dir",
+                            profile_cache], capsys)
+        assert code == 0
+        assert out.startswith("demux t_f=%s " % ran)
+        parts = dict(kv.split("=") for kv in out.split() if "=" in kv)
+        assert abs(float(parts["F_forward"])
+                   - float(parts["F_backward"])) <= 1e-12
 
 
 def test_scan_demux_wants_single_tf(capsys):

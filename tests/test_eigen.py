@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph.eigen import matrix_element
+from trapmorph.eigen import levels_needed, matrix_element
 from trapmorph.errors import (ConfinementError, DegeneracyError, GridError)
 
 
@@ -115,6 +115,10 @@ def test_couplings_neighbor_window_clips_at_ground(mini, mini_eigs):
     eig0, _ = mini_eigs
     nc = tm.couplings(eig0, mini.path, 0)
     assert list(nc.neighbors) == [1, 2]
+    # the levels the presets solve hold the whole window of the target
+    assert mini.k == eig0.k == levels_needed(mini.n_target) == 5
+    nc = tm.couplings(eig0, mini.path, mini.n_target)
+    assert list(nc.neighbors) == [0, 1, 3, 4]
 
 
 def test_degenerate_pair_is_rejected():

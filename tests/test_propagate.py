@@ -1,6 +1,5 @@
 """Split-operator propagation: conservation laws, accuracy, reporting."""
 
-import io
 import sys
 
 import numpy as np
@@ -65,43 +64,29 @@ def test_norm_conservation_short(grid, harmonic_eig):
 
 
 def test_coherent_state_oscillates(grid):
+    # <x>(t) sampled by chaining 100 calls of 0.1; the chain lands on the
+    # state that one call of 10 reaches, up to the per-call renormalization
     x0 = 2.0
-    psi = tm.Wavefunction.normalized(grid, np.exp(-0.5 * (grid.x - x0) ** 2))
-    buf = io.StringIO()
-    tm.propagate(psi, tm.Drive.static(HARMONIC, 2.0 * np.pi), dt=0.005,
-                 trajectory=buf, traj_stride=10)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,norm,mean_x,fidelity"
-    rows = [ln.split(",") for ln in lines[1:]]
-    ts = np.array([float(r[0]) for r in rows])
-    mx = np.array([float(r[2]) for r in rows])
-    assert ts[0] == 0.0
-    assert_allclose(ts[-1], 2.0 * np.pi, rtol=1e-12)
-    assert np.max(np.abs(mx - x0 * np.cos(ts))) < 1e-4
-    norms = np.array([float(r[1]) for r in rows])
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
-
-
-def test_trajectory_fidelity_column(grid, harmonic_eig):
-    psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
-    buf = io.StringIO()
-    tm.propagate(psi, tm.Drive.static(HARMONIC, 1.0), dt=0.01, target=psi,
-                 trajectory=buf, traj_stride=25)
-    rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
-    fids = np.array([float(r[3]) for r in rows])
-    # a stationary state only loses O(dt^2) overlap to splitting error
-    assert np.all(fids > 1.0 - 1e-6)
+    psi0 = tm.Wavefunction.normalized(grid, np.exp(-0.5 * (grid.x - x0) ** 2))
+    step = tm.Drive.static(HARMONIC, 0.1)
+    psi, ts, mx = psi0, [0.0], [psi0.mean_x()]
+    for i in range(1, 101):
+        rep = tm.propagate(psi, step, dt=0.005)
+        assert rep.steps == 20 and rep.norm_drift < 1e-10
+        psi = rep.final_state
+        ts.append(0.1 * i)
+        mx.append(psi.mean_x())
+    assert np.max(np.abs(np.array(mx) - x0 * np.cos(ts))) < 1e-4
+    once = tm.propagate(psi0, tm.Drive.static(HARMONIC, 10.0), dt=0.005)
+    assert once.steps == 2000
+    assert np.max(np.abs(psi.values - once.final_state.values)) <= 1e-12
 
 
 def test_partial_final_step_lands_exactly(grid, harmonic_eig):
     # t_f deliberately not a multiple of dt
     psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
-    t_f = 1.2345
-    buf = io.StringIO()
-    rep = tm.propagate(psi, tm.Drive.static(HARMONIC, t_f), dt=0.01,
-                       trajectory=buf, traj_stride=10**9)
-    last_t = float(buf.getvalue().splitlines()[-1].split(",")[0])
-    assert last_t == t_f
+    rep = tm.propagate(psi, tm.Drive.static(HARMONIC, 1.2345), dt=0.01)
+    assert rep.steps == 124  # 123 of dt, then one of the remainder 0.0045
     assert tm.fidelity(rep.final_state, psi) > 1.0 - 1e-6
 
 

@@ -112,7 +112,7 @@ def peak_calls(monkeypatch):
     """Replace the eigensolves behind g with _peak_g; record batch sizes."""
     calls = []
 
-    def g_values(path, grid, n, lam, k, store):
+    def g_values(path, grid, n, lam, store):
         calls.append(len(lam))
         g = _peak_g(lam)
         store.update(zip(lam.tolist(), zip(g.tolist(), g.tolist())))
