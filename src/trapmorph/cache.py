@@ -3,9 +3,9 @@
 Designing a profile costs one eigensolve per node; the result is a pair
 of small arrays that depend only on (path, grid, target index, method,
 start nodes, refinement tolerance).  This module stores them in a
-versioned little-endian binary format keyed by a hash of those inputs,
-so repeated CLI scans skip straight to propagation.  The header carries
-a CRC-32 of the body.
+versioned little-endian binary format whose header packs those inputs,
+names each entry by a hash of those bytes and adds a CRC-32 of the body,
+so repeated CLI scans skip straight to propagation.
 
 FAQUAD and LA read the same spectrum along the path, so a miss builds
 both from one set of eigensolves and stores the other method's entry
@@ -33,17 +33,19 @@ import numpy as np
 from .errors import CacheError, TrapMorphError
 from .grid import SpatialGrid
 from .potential import DeformationPath
-from .schedule import (PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL,
-                       AdiabaticityProfile, build_profile)
+from .schedule import (PROFILE_METHODS, PROFILE_NODES_DEFAULT,
+                       QUADRATURE_REFINE_TOL, AdiabaticityProfile,
+                       build_profile, profile_column)
 
 MAGIC = b"TMPROF"
-VERSION = 2
-_METHOD_CODES = {"faquad": 0, "la": 1}
-_HEADER = struct.Struct("<6sHddddddIIddIIQdQI")
-# magic, version, A0, Af, B0, kappa, eps, C, n_target, method,
-# x_min, x_max, grid_n, target_n, nodes, refine_tol, count, body crc32;
-# the body is count lambda values then count g values, float64
+VERSION = 3
 _PREFIX = struct.Struct("<6sH")  # magic and version: every format starts so
+_INPUTS = struct.Struct("<ddddddIIddIIQd")
+# A0, Af, B0, kappa, eps, C, n_target, method (index in PROFILE_METHODS),
+# x_min, x_max, grid_n, target_n, start nodes, refine_tol
+_TAIL = struct.Struct("<QI")  # count, body crc32
+_HEADER = struct.Struct(_PREFIX.format + _INPUTS.format[1:] + _TAIL.format[1:])
+# the body is count lambda values then count g values, float64
 
 
 def cache_dir(explicit: Optional[str] = None) -> Path:
@@ -55,36 +57,27 @@ def cache_dir(explicit: Optional[str] = None) -> Path:
     return Path.home() / ".cache" / "trapmorph"
 
 
+def _inputs(path: DeformationPath, grid: SpatialGrid, n: int,
+            method: str) -> bytes:
+    """The header bytes that name an entry and must match to serve it."""
+    return _INPUTS.pack(path.A0, path.Af, path.B0, path.kappa, path.eps,
+                        path.C, path.n_target, profile_column(method),
+                        grid.x_min, grid.x_max, grid.n, n,
+                        PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL)
+
+
 def profile_key(path: DeformationPath, grid: SpatialGrid, n: int,
                 method: str) -> str:
-    parts = [
-        "%.17g" % v
-        for v in (path.A0, path.Af, path.B0, path.kappa, path.eps, path.C,
-                  grid.x_min, grid.x_max)
-    ]
-    parts += [str(path.n_target), str(grid.n), str(n), method,
-              str(PROFILE_NODES_DEFAULT),
-              "%.17g" % QUADRATURE_REFINE_TOL]
-    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()[:24]
+    digest = hashlib.sha256(_inputs(path, grid, n, method)).hexdigest()[:24]
     return "profile-%s.bin" % digest
-
-
-def _inputs(path: DeformationPath, grid: SpatialGrid, n: int,
-            method: str) -> tuple:
-    """The header fields that must match for an entry to be served."""
-    return (path.A0, path.Af, path.B0, path.kappa, path.eps, path.C,
-            path.n_target, _METHOD_CODES[method], grid.x_min, grid.x_max,
-            grid.n, n, PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL)
 
 
 def write_profile(fp, profile: AdiabaticityProfile, path: DeformationPath,
                   grid: SpatialGrid, n: int) -> None:
-    body = (np.ascontiguousarray(profile.lambda_grid, "<f8").tobytes()
-            + np.ascontiguousarray(profile.g, "<f8").tobytes())
-    fp.write(_HEADER.pack(MAGIC, VERSION,
-                          *_inputs(path, grid, n, profile.method),
-                          len(profile.lambda_grid), zlib.crc32(body)))
-    fp.write(body)
+    body = np.array([profile.lambda_grid, profile.g], "<f8").tobytes()
+    fp.write(_PREFIX.pack(MAGIC, VERSION)
+             + _inputs(path, grid, n, profile.method)
+             + _TAIL.pack(len(profile.lambda_grid), zlib.crc32(body)) + body)
 
 
 def read_profile(fp, path: DeformationPath, grid: SpatialGrid, n: int,
@@ -92,20 +85,18 @@ def read_profile(fp, path: DeformationPath, grid: SpatialGrid, n: int,
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise CacheError("truncated cache header")
-    fields = _HEADER.unpack(raw)
-    if fields[0] != MAGIC or fields[1] != VERSION:
+    if _PREFIX.unpack_from(raw) != (MAGIC, VERSION):
         raise CacheError("cache magic/version mismatch")
-    if fields[2:-2] != _inputs(path, grid, n, method):
+    if raw[_PREFIX.size:-_TAIL.size] != _inputs(path, grid, n, method):
         raise CacheError("cache entry was written for different parameters")
-    count, crc = fields[-2:]
+    count, crc = _TAIL.unpack(raw[-_TAIL.size:])
     body = fp.read()
     if len(body) != 2 * 8 * count:
         raise CacheError("cache body holds %d bytes, header promises %d nodes"
                          % (len(body), count))
     if zlib.crc32(body) != crc:
         raise CacheError("cache body checksum mismatch")
-    lam = np.frombuffer(body[: 8 * count], "<f8").copy()
-    g = np.frombuffer(body[8 * count:], "<f8").copy()
+    lam, g = np.frombuffer(body, "<f8").reshape(2, count).copy()
     try:
         return AdiabaticityProfile(lam, g, method)
     except TrapMorphError as exc:
@@ -141,12 +132,11 @@ def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     """
     d = cache_dir(directory)
     entry = d / profile_key(path, grid, n, method)
-    if entry.exists():
-        try:
-            with open(entry, "rb") as fp:
-                return read_profile(fp, path, grid, n, method)
-        except (CacheError, OSError):
-            pass  # recompute below and overwrite
+    try:
+        with open(entry, "rb") as fp:
+            return read_profile(fp, path, grid, n, method)
+    except (CacheError, OSError):
+        pass  # absent or unusable: recompute below and overwrite
     store = {}  # A -> (g_faquad, g_la), for the builds of this call only
     profile = build_profile(path, grid, n, method=method, store=store)
     try:
@@ -154,9 +144,10 @@ def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
         _write_entry(entry, profile, path, grid, n)
     except OSError:
         return profile  # cache is best-effort; the computed profile is still good
-    other = "la" if method == "faquad" else "faquad"
-    companion = d / profile_key(path, grid, n, other)
-    if not companion.exists():
+    for other in PROFILE_METHODS:
+        companion = d / profile_key(path, grid, n, other)
+        if other == method or companion.exists():
+            continue
         try:
             _write_entry(companion,
                          build_profile(path, grid, n, method=other, store=store),

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .eigen import eigensolve, localization
+from .eigen import eigensolve, localization, max_levels
 from .errors import TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import PotentialParams
@@ -115,8 +115,9 @@ def cmd_eigen(args) -> int:
         params = preset.path.initial
         grid = preset.grid if not args.grid else _parse_grid(args.grid)
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1, got %d" % k)
+    if not 1 <= k <= max_levels(grid):
+        raise UsageError("--k must be in 1..%d for %d grid points, got %d"
+                         % (max_levels(grid), grid.n, k))
     eig = eigensolve(params, grid, k, refine=True)
     print("# j E mean_x prob_right")
     for j in range(k):
@@ -139,6 +140,8 @@ def cmd_design(args) -> int:
 
 def cmd_scan(args) -> int:
     preset = get_preset(args.preset, args.n)
+    if args.tf and args.tf_range:
+        raise UsageError("give --tf or --tf-range, not both")
     if args.demux:
         if not args.tf or "," in args.tf:
             raise UsageError("--demux wants a single --tf value")
@@ -269,8 +272,11 @@ def _apply_config(registry, argv) -> list:
             break
     else:
         return argv
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)  # values as typed
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError("config file %r: %s" % (path, exc)) from None
     if not read:
         raise UsageError("config file %r not found" % path)
     if not rest:
@@ -282,13 +288,19 @@ def _apply_config(registry, argv) -> list:
             for opt in action.option_strings:
                 key = opt.lstrip("-")
                 seen.add(key)
-                if cp.has_option(command, key):
+                if not cp.has_option(command, key):
+                    continue
+                value = cp.get(command, key)
+                try:
                     if isinstance(action, argparse._StoreTrueAction):
                         action.default = cp.getboolean(command, key)
                     elif action.type is int:
-                        action.default = cp.getint(command, key)
+                        action.default = int(value)
                     else:
-                        action.default = cp.get(command, key)
+                        action.default = value
+                except ValueError:
+                    raise UsageError("bad value in config [%s]: %s = %s"
+                                     % (command, key, value)) from None
         unknown = set(cp.options(command)) - seen
         if unknown:
             raise UsageError("unknown config keys in [%s]: %s"

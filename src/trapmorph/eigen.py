@@ -69,6 +69,11 @@ def _fix_signs(states: np.ndarray) -> np.ndarray:
     return states
 
 
+def max_levels(grid: SpatialGrid) -> int:
+    """The most levels eigensolve solves for on `grid`."""
+    return grid.n // 4
+
+
 def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
                refine: bool = True) -> EigenSet:
     """Lowest k eigenpairs of -(1/2) psi'' + V psi = E psi on `grid`.
@@ -80,10 +85,9 @@ def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
     than 1e-8 of its probability in the outer 5% of the domain, or when
     an energy reaches the potential at the grid edge.
     """
-    if k < 1:
-        raise GridError("need k >= 1")
-    if k > grid.n // 4:
-        raise GridError("k = %d too large for %d grid points" % (k, grid.n))
+    if not 1 <= k <= max_levels(grid):
+        raise GridError("k = %d outside 1..%d for %d grid points"
+                        % (k, max_levels(grid), grid.n))
 
     x = grid.x
     dx = grid.dx

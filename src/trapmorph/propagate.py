@@ -89,6 +89,16 @@ class PropagationReport:
     wall_s: float  # wall time of the propagate call
 
 
+def _trap_frequency(p: PotentialParams) -> float:
+    """Frequency scale of the trap p: its harmonic frequency, or a double
+    well's well frequency (1 for a trap that is neither)."""
+    if p.A > 0.0:
+        return math.sqrt(2.0 * p.A)
+    if p.A < 0.0 and p.B > 0.0:
+        return 2.0 * math.sqrt(-p.A)
+    return 1.0
+
+
 class Drive:
     """Adapter mapping step-midpoint times to potential coefficients.
 
@@ -115,19 +125,16 @@ class Drive:
 
     @classmethod
     def from_schedule(cls, s: Schedule) -> "Drive":
-        w = max(2.0 * math.sqrt(-s.path.A0), math.sqrt(2.0 * s.path.Af))
+        """The larger trap frequency of the path's two ends bounds dt."""
+        w = max(_trap_frequency(s.path.initial),
+                _trap_frequency(s.path.final))
         return cls(s.A_of_t, s.path.beta, s.path.C, s.t_f, w)
 
     @classmethod
     def static(cls, p: PotentialParams, t_f: float) -> "Drive":
-        if p.A > 0.0:
-            w = math.sqrt(2.0 * p.A)
-        elif p.A < 0.0 and p.B > 0.0:
-            w = 2.0 * math.sqrt(-p.A)
-        else:
-            w = 1.0
         return cls(lambda t: np.full(np.shape(t), p.A),
-                   lambda A: np.full(np.shape(A), p.B), p.C, t_f, w)
+                   lambda A: np.full(np.shape(A), p.B), p.C, t_f,
+                   _trap_frequency(p))
 
 
 def _as_drive(obj) -> Drive:

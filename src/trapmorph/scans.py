@@ -31,11 +31,12 @@ from .errors import TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import DeformationPath, path_for_target
 from .propagate import Wavefunction, fidelity, propagate, superposition_fidelity
-from .schedule import Schedule, invert_profile, linear_schedule
+from .schedule import (PROFILE_METHODS, Schedule, invert_profile,
+                       linear_schedule)
 from .cache import cached_profile
 from .units import UnitSystem, beryllium_units
 
-METHODS = ("faquad", "la", "linear")
+METHODS = PROFILE_METHODS + ("linear",)
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def schedule_factory(preset: Preset, method: str,
     up (or built) once, here."""
     if method == "linear":
         return lambda tf: linear_schedule(preset.path, tf)
-    if method in ("faquad", "la"):
+    if method in PROFILE_METHODS:
         profile = cached_profile(preset.path, preset.grid, preset.n_target,
                                  method=method, directory=cache_dir)
         return lambda tf: invert_profile(profile, preset.path, tf)
@@ -198,6 +199,15 @@ def _final_fidelity(pair, sched: Schedule, dt: float) -> float:
     return fidelity(propagate(psi0, sched, dt).final_state, target)
 
 
+def _checked_durations(t_f_list: Sequence[float]) -> list:
+    """The durations in ascending order; UsageError unless there is at
+    least one and every one is positive and finite."""
+    tfs = sorted(float(t) for t in t_f_list)
+    if not tfs or not all(math.isfinite(t) and t > 0.0 for t in tfs):
+        raise UsageError("t_f list must be non-empty, positive and finite")
+    return tfs
+
+
 def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
              include_ground: bool = False,
              cache_dir: Optional[str] = None,
@@ -210,9 +220,7 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
     recorded as failed (trapmorph errors by message, anything else as
     "<Type>: <message>") and the scan continues.
     """
-    tfs = sorted(float(t) for t in t_f_list)
-    if not tfs or not all(math.isfinite(t) and t > 0.0 for t in tfs):
-        raise UsageError("t_f list must be non-empty, positive and finite")
+    tfs = _checked_durations(t_f_list)
     make_schedule = schedule_factory(preset, method, cache_dir)
     pairs = _endpoint_states(preset, include_ground)
 
@@ -255,7 +263,9 @@ def run_demultiplexing(preset: Preset, method: str, t_f: float,
                        cache_dir: Optional[str] = None):
     """(F_forward, F_backward): morph double well -> harmonic with |n>,
     then harmonic -> double well under the reversed schedule, both at
-    on_step_grid(t_f, dt) so that the backward steps retrace the forward."""
+    on_step_grid(t_f, dt) so that the backward steps retrace the forward.
+    Rejects t_f as run_scan rejects a bad duration."""
+    [t_f] = _checked_durations([t_f])
     sched = schedule_factory(preset, method, cache_dir)(
         on_step_grid(t_f, preset.dt))
     pair = _endpoint_states(preset, include_ground=False)["n"]

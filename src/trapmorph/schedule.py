@@ -37,8 +37,8 @@ from .eigen import couplings, eigensolve, levels_needed
 from .grid import SpatialGrid
 from .potential import DeformationPath
 
-PROFILE_NODES_DEFAULT = 1024
-PROFILE_NODES_MIN = 128
+PROFILE_NODES_DEFAULT = 1024  # uniform start grid of every profile build
+PROFILE_NODES_MAX = 64 * PROFILE_NODES_DEFAULT
 QUADRATURE_REFINE_TOL = 0.01  # refine lambda grid until discrete c is flat to 1%
 ENDPOINT_TOL = 1e-12
 LINEAR_SAMPLES = 513
@@ -121,22 +121,27 @@ def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
     return g
 
 
+def profile_column(method: str) -> int:
+    """Index of `method` in PROFILE_METHODS; ScheduleError if it has none."""
+    if method not in PROFILE_METHODS:
+        raise ScheduleError("unknown design method %r" % method)
+    return PROFILE_METHODS.index(method)
+
+
 def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                   method: str = "faquad",
-                  nodes: int = PROFILE_NODES_DEFAULT,
-                  max_nodes: int = 64 * PROFILE_NODES_DEFAULT,
                   store: Optional[dict] = None) -> AdiabaticityProfile:
     """Sample the adiabaticity integrand over [A0, Af].
 
-    The A-grid starts uniform with `nodes` points.  Each interval is then
-    tested at its midpoint: the discrete adiabaticity (slope times midpoint
-    g) must agree with the trapezoid mean to 1%, i.e. a schedule built from
-    the samples must realize a genuinely flat c there.  Every midpoint
-    becomes a node; only the two halves of an interval that failed are
-    tested again, until none fails.  An under-resolved avoided-crossing
+    The A-grid starts with PROFILE_NODES_DEFAULT uniform points.  Each
+    interval is then tested at its midpoint: the discrete adiabaticity
+    (slope times midpoint g) must agree with the trapezoid mean to 1%, i.e.
+    a schedule built from the samples must realize a flat c there.  Every
+    midpoint becomes a node; only the two halves of an interval that failed
+    are tested again, until none fails.  An under-resolved avoided-crossing
     peak therefore cannot silently skew the design, and the stiff rest of
     the path costs no further eigensolves.  ScheduleError is raised before
-    a round of tests would take the node count over `max_nodes`.
+    a round of tests would take the node count over PROFILE_NODES_MAX.
 
     Each node's eigensolve yields the g of both methods.  `store` (A ->
     (g_faquad, g_la)) keeps them: hand the store of one build to the
@@ -144,22 +149,18 @@ def build_profile(path: DeformationPath, grid: SpatialGrid, n: int,
     solves only the nodes the first lacked.  Its refinement, node set and
     result are exactly those of a standalone build.
     """
-    if nodes < PROFILE_NODES_MIN:
-        raise ScheduleError("profile needs >= %d nodes" % PROFILE_NODES_MIN)
-    if method not in PROFILE_METHODS:
-        raise ScheduleError("unknown design method %r" % method)
-    column = PROFILE_METHODS.index(method)
+    column = profile_column(method)
     store = {} if store is None else store
     solved = len(store)
 
-    lam = np.linspace(path.A0, path.Af, nodes)
+    lam = np.linspace(path.A0, path.Af, PROFILE_NODES_DEFAULT)
     g = _g_values(path, grid, n, lam, store)[:, column]
     lams, gs = [lam], [g]
     # intervals still to test: left/right ends and their g
     a, b, ga, gb = lam[:-1], lam[1:], g[:-1], g[1:]
-    count, worst = nodes, 0.0
+    count, worst = len(lam), 0.0
     while len(a):
-        if count + len(a) > max_nodes:
+        if count + len(a) > PROFILE_NODES_MAX:
             raise ScheduleError(
                 "adiabaticity profile still varies by more than %.2g%% on %d "
                 "intervals at %d nodes; peak too sharp for the node cap"

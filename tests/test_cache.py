@@ -1,5 +1,6 @@
 """Profile disk cache: round trips, invalidation, corruption recovery."""
 
+import hashlib
 import io
 import os
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import trapmorph as tm
 from trapmorph import cache, schedule
-from trapmorph.errors import CacheError, FlatDirectionError
+from trapmorph.errors import CacheError, FlatDirectionError, ScheduleError
 from trapmorph.schedule import QUADRATURE_REFINE_TOL, AdiabaticityProfile
 
 
@@ -162,11 +163,71 @@ def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
     fields = cache._HEADER.unpack(
         _entry(tmp_path, mini).read_bytes()[:cache._HEADER.size])
-    assert fields[1] == cache.VERSION == 2
+    assert fields[1] == cache.VERSION == 3
     assert fields[15] == QUADRATURE_REFINE_TOL
     key = cache.profile_key(mini.path, mini.grid, 2, "faquad")
     monkeypatch.setattr(cache, "QUADRATURE_REFINE_TOL", 0.02)
     assert cache.profile_key(mini.path, mini.grid, 2, "faquad") != key
+
+
+def test_entry_names_hash_their_header_inputs(tmp_path, mini, fake_build):
+    d = str(tmp_path)
+    other = tm.mini_preset(3)
+    cache.cached_profile(mini.path, mini.grid, 2, directory=d)
+    cache.cached_profile(other.path, other.grid, 3, method="la", directory=d)
+    entries = sorted(tmp_path.glob("profile-*.bin"))
+    assert len(entries) == 4
+    # the inputs follow magic and version (8 bytes) and precede the node
+    # count and the checksum (12 bytes)
+    start, stop = 8, cache._HEADER.size - 12
+    for entry in entries:
+        inputs = entry.read_bytes()[start:stop]
+        digest = hashlib.sha256(inputs).hexdigest()[:24]
+        assert entry.name == "profile-%s.bin" % digest
+    assert {e.name for e in entries} == {
+        cache.profile_key(p.path, p.grid, p.n_target, m)
+        for p in (mini, other) for m in ("faquad", "la")}
+
+
+def test_unknown_method_is_a_schedule_error(tmp_path, mini, fake_build):
+    with pytest.raises(ScheduleError):
+        cache.cached_profile(mini.path, mini.grid, 2, method="steepest",
+                             directory=str(tmp_path))
+    assert fake_build["n"] == 0
+    assert not list(tmp_path.iterdir())
+
+
+def _version_2_name(path, grid, n, method):
+    """The entry name that format version 2 hashed from text."""
+    parts = ["%.17g" % v for v in (path.A0, path.Af, path.B0, path.kappa,
+                                   path.eps, path.C, grid.x_min, grid.x_max)]
+    parts += [str(path.n_target), str(grid.n), str(n), method, "1024",
+              "%.17g" % QUADRATURE_REFINE_TOL]
+    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()[:24]
+    return "profile-%s.bin" % digest
+
+
+def test_version_2_entry_is_never_served_and_is_deleted(tmp_path, mini,
+                                                        fake_build):
+    # version 2 had the layout of version 3 under a name hashed from text
+    buf = io.BytesIO()
+    lam = np.linspace(mini.path.A0, mini.path.Af, 300)
+    cache.write_profile(buf, AdiabaticityProfile(lam, np.ones(300), "faquad"),
+                        mini.path, mini.grid, 2)
+    blob = bytearray(buf.getvalue())
+    blob[6:8] = struct.pack("<H", 2)
+    old = tmp_path / _version_2_name(mini.path, mini.grid, 2, "faquad")
+    old.write_bytes(bytes(blob))
+    assert old.name != _entry(tmp_path, mini).name
+    with open(old, "rb") as fp:
+        with pytest.raises(CacheError):
+            cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
+    p = cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    assert fake_build["n"] == 2
+    assert len(p.lambda_grid) == 257
+    assert not old.exists()
+    assert sorted(tmp_path.iterdir()) == sorted(
+        _entry(tmp_path, mini, m) for m in ("faquad", "la"))
 
 
 def test_swapped_lambdas_are_recomputed(tmp_path, mini, fake_build):

@@ -61,8 +61,10 @@ def test_eigen_bad_inputs(capsys):
     for n in ("0", "-1"):
         code, _, err = run(["eigen", "--n", n], capsys)
         assert code == 2 and "usage error:" in err
-    code, _, err = run(["eigen", "--k", "0"], capsys)
-    assert code == 2 and "usage error:" in err
+    # more levels than the grid holds is a bad flag too (512 // 4 = 128)
+    for k in ("0", "200"):
+        code, _, err = run(["eigen", "--k", k], capsys)
+        assert code == 2 and "usage error:" in err
     # unbounded potential is an input-domain error, not a crash
     assert run(["eigen", "--inline", "A=-0.5,B=0"], capsys)[0] == 1
 
@@ -176,6 +178,11 @@ def test_scan_tf_range(tmp_path, capsys):
             if ln and not ln.startswith("#") and ln != "t_f,F_n,F_0,F_avg,c"]
     ts = [float(r.split(",")[0]) for r in rows]
     assert_allclose(ts, np.geomspace(10.0, 20.0, 3), rtol=1e-10)
+    # --tf beside --tf-range is refused, not dropped
+    code, _, err = run(["scan", "--preset", "mini", "--method", "linear",
+                        "--tf", "15", "--tf-range", "10:20:3",
+                        "--out", out_csv], capsys)
+    assert code == 2 and "usage error:" in err
 
 
 def test_scan_plot_script(tmp_path, capsys):
@@ -254,6 +261,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, _ = run(["--config", str(cfg), "scan", "--preset", "mini",
                       "--tf", "10"], capsys)
     assert code == 2
+    # a value of the wrong type fails like the same bad flag
+    for argv, line in ((["eigen"], "k = abc"),
+                       (["scan", "--tf", "10"], "superposition = maybe")):
+        cfg.write_text("[%s]\n%s\n" % (argv[0], line))
+        code, _, err = run(["--config", str(cfg)] + argv, capsys)
+        assert code == 2 and err.startswith("usage error:")
+        assert line in err
+    # a file that is not INI fails the same way; '%' is an ordinary character
+    cfg.write_text("k = 3\n")
+    assert run(["--config", str(cfg), "eigen"], capsys)[0] == 2
+    out_csv = tmp_path / "100%.csv"
+    cfg.write_text("[scan]\nout = %s\n" % out_csv)
+    code, _, _ = run(["--config", str(cfg), "scan", "--method", "linear",
+                      "--tf", "10"], capsys)
+    assert code == 0 and out_csv.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -206,6 +206,10 @@ def test_drive_adapters(mini, faquad_profile):
     assert float(A0) == float(A3) == 0.5
     assert float(B0) == float(B3) == 0.0
     assert st.C == 0.0
+    # a schedule's step bound is the static rule at the stiffer end
+    ends = [tm.Drive.static(p, 1.0).omega_max
+            for p in (mini.path.initial, mini.path.final)]
+    assert drive.omega_max == max(ends)
     # a duration must be finite and >= 0, omega_max finite and > 0
     for t_f, w in ((-1.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
                    (5.0, float("nan")), (5.0, float("inf")), (5.0, 0.0),

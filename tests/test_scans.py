@@ -121,6 +121,15 @@ def test_scan_rejects_bad_durations(mini):
         tm.run_scan(mini, "warp", [10.0])
 
 
+@pytest.mark.parametrize("t_f", [-5.0, 0.0, math.nan, math.inf])
+def test_demux_rejects_the_durations_a_scan_rejects(mini, t_f):
+    with pytest.raises(UsageError) as scan_error:
+        tm.run_scan(mini, "linear", [t_f])
+    with pytest.raises(UsageError) as demux_error:
+        tm.run_demultiplexing(mini, "linear", t_f)
+    assert str(demux_error.value) == str(scan_error.value)
+
+
 def test_scan_survives_row_failures(mini, monkeypatch):
     real = scans.propagate
     # a trapmorph error is recorded by its message; any other exception

@@ -63,32 +63,31 @@ def test_profile_rejects_flat_directions():
         AdiabaticityProfile(lam[::-1].copy(), np.ones(16), "faquad")
 
 
-def test_build_profile_argument_validation(mini):
-    with pytest.raises(ScheduleError):
-        tm.build_profile(mini.path, mini.grid, 2, nodes=16)
+def test_build_profile_argument_validation(mini, monkeypatch):
     with pytest.raises(ScheduleError):
         tm.build_profile(mini.path, mini.grid, 2, method="steepest")
+    # cap below what this path needs: refinement refuses, not stalls
+    monkeypatch.setattr(schedule, "PROFILE_NODES_MAX", 2048)
     with pytest.raises(ScheduleError):
-        # cap below what this path needs: refinement refuses, not stalls
-        tm.build_profile(mini.path, mini.grid, 2, max_nodes=2048)
+        tm.build_profile(mini.path, mini.grid, 2)
 
 
-def test_build_profile_small_start_converges(mini, la_profile):
+def test_build_profile_small_start_converges(mini, la_profile, monkeypatch):
     # starting from few nodes must refine to the same integral
-    prof = tm.build_profile(mini.path, mini.grid, mini.n_target,
-                            method="la", nodes=512)
+    monkeypatch.setattr(schedule, "PROFILE_NODES_DEFAULT", 512)
+    prof = tm.build_profile(mini.path, mini.grid, mini.n_target, method="la")
     assert_allclose(prof.integral, la_profile.integral, rtol=1e-3)
 
 
-def test_fresh_profile_reports_its_build(mini):
+def test_fresh_profile_reports_its_build(mini, monkeypatch):
     # a 256-point grid and 128 start nodes keep these builds short
     grid = replace(mini.grid, n=256)
+    monkeypatch.setattr(schedule, "PROFILE_NODES_DEFAULT", 128)
     store = {}
-    la = tm.build_profile(mini.path, grid, 2, method="la", nodes=128,
-                          store=store)
-    faquad = tm.build_profile(mini.path, grid, 2, method="faquad", nodes=128,
+    la = tm.build_profile(mini.path, grid, 2, method="la", store=store)
+    faquad = tm.build_profile(mini.path, grid, 2, method="faquad",
                               store=store)
-    alone = tm.build_profile(mini.path, grid, 2, method="faquad", nodes=128)
+    alone = tm.build_profile(mini.path, grid, 2, method="faquad")
     # a standalone build solves every node once and drops none
     for prof in (la, alone):
         assert prof.evaluations == len(prof.lambda_grid)
@@ -122,8 +121,10 @@ def peak_calls(monkeypatch):
     return calls
 
 
-def test_refinement_splits_only_failing_intervals(mini, peak_calls):
-    prof = tm.build_profile(mini.path, mini.grid, 2, nodes=128)
+def test_refinement_splits_only_failing_intervals(mini, peak_calls,
+                                                  monkeypatch):
+    monkeypatch.setattr(schedule, "PROFILE_NODES_DEFAULT", 128)
+    prof = tm.build_profile(mini.path, mini.grid, 2)
     lam = prof.lambda_grid
     assert prof.evaluations == sum(peak_calls) == len(lam)
     assert lam[0] == mini.path.A0 and lam[-1] == mini.path.Af
@@ -139,9 +140,11 @@ def test_refinement_splits_only_failing_intervals(mini, peak_calls):
     assert len(lam) < 400
 
 
-def test_node_cap_refuses_before_solving(mini, peak_calls):
+def test_node_cap_refuses_before_solving(mini, peak_calls, monkeypatch):
+    monkeypatch.setattr(schedule, "PROFILE_NODES_DEFAULT", 128)
+    monkeypatch.setattr(schedule, "PROFILE_NODES_MAX", 300)
     with pytest.raises(ScheduleError):
-        tm.build_profile(mini.path, mini.grid, 2, nodes=128, max_nodes=300)
+        tm.build_profile(mini.path, mini.grid, 2)
     assert sum(peak_calls) <= 300
 
 
