@@ -117,9 +117,14 @@ def _remove_superseded(d: Path) -> None:
 def _write_entry(entry: Path, profile: AdiabaticityProfile,
                  path: DeformationPath, grid: SpatialGrid, n: int) -> None:
     tmp = entry.with_suffix(".tmp.%d" % os.getpid())
-    with open(tmp, "wb") as fp:
-        write_profile(fp, profile, path, grid, n)
-    os.replace(tmp, entry)
+    fp = open(tmp, "wb")  # a failed open made no file, so none is unlinked
+    try:
+        with fp:
+            write_profile(fp, profile, path, grid, n)
+        os.replace(tmp, entry)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a failed write leaves no partial file
+        raise
 
 
 def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,

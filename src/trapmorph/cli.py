@@ -8,8 +8,9 @@ Subcommands:
              CSV output streamed row by row
   presets  - list the shipped presets
 
-Exit codes: 0 success, 1 runtime/model error, 2 usage error.  Standard
-output carries machine-readable results; progress goes to standard error.
+Exit codes: 0 success, 1 runtime/model error or an output file that
+cannot be written, 2 usage error.  Standard output carries
+machine-readable results; progress goes to standard error.
 
 A config file (--config FILE, INI-style ``[subcommand]`` sections with
 ``key = value`` lines named after the long options) supplies defaults;
@@ -178,10 +179,7 @@ def cmd_scan(args) -> int:
         with open(args.plot_script, "w") as pfp:
             emit_plot_script(out, pfp,
                              title="%s / %s" % (preset.name, args.method))
-    if all(row.error is not None for row in result.rows):
-        sys.stderr.write("scan: every row failed\n")
-        return 1
-    best = result.best_row()
+    best = result.best_row()  # raises when every row failed
     print("best t_f=%.12g F_n=%.12g out=%s"
           % (best.t_f * preset.time_to_SI, best.F_n, out))
     return 0
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
-    except TrapMorphError as exc:
+    except (TrapMorphError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -146,7 +146,6 @@ def couplings(eig: EigenSet, path: DeformationPath, n: int) -> NeighborCoupling:
                  if m != n and 0 <= m < k)
     x = eig.grid.x
     dH = x * x + float(path.beta_prime(eig.lam)) * x**4
-    psi_n = eig.state(n)
     els = np.empty(len(nbrs))
     gaps = np.empty(len(nbrs))
     for i, m in enumerate(nbrs):
@@ -156,7 +155,7 @@ def couplings(eig: EigenSet, path: DeformationPath, n: int) -> NeighborCoupling:
                 "levels %d and %d degenerate at A=%g (gap %.3e)"
                 % (n, m, eig.lam, gap)
             )
-        els[i] = abs(np.sum(psi_n * dH * eig.state(m)) * eig.grid.dx)
+        els[i] = abs(matrix_element(eig, n, m, dH))
         gaps[i] = gap
     return NeighborCoupling(n=n, neighbors=nbrs, couplings=els, gaps=gaps)
 

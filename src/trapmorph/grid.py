@@ -46,10 +46,3 @@ class SpatialGrid:
         m = max(1, int(round(0.05 * self.n)))
         w = np.abs(psi) ** 2
         return float((w[:m].sum() + w[-m:].sum()) * self.dx)
-
-    def same_as(self, other: "SpatialGrid") -> bool:
-        return (
-            self.n == other.n
-            and self.x_min == other.x_min
-            and self.x_max == other.x_max
-        )

@@ -239,7 +239,7 @@ def propagate(psi0: Wavefunction, drive, dt: float) -> PropagationReport:
 
 def fidelity(psi: Wavefunction, target: Wavefunction) -> float:
     """|<target|psi>| - global-phase invariant, NOT squared."""
-    if not psi.grid.same_as(target.grid):
+    if psi.grid != target.grid:
         raise GridError("fidelity between states on different grids")
     return float(abs(np.sum(np.conj(target.values) * psi.values) * psi.grid.dx))
 

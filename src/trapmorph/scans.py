@@ -167,15 +167,12 @@ class ScanResult:
         return math.nan
 
 
-def _endpoint_states(preset: Preset, include_ground: bool):
+def _endpoint_pairs(preset: Preset, levels: Sequence[int]) -> list:
+    """(initial-trap, final-trap) eigenstate pairs, one per level."""
     eig0 = eigensolve(preset.path.initial, preset.grid, preset.k, refine=False)
     eigf = eigensolve(preset.path.final, preset.grid, preset.k, refine=False)
-    levels = {"n": preset.n_target}
-    if include_ground:
-        levels["0"] = 0
-    return {key: (Wavefunction.from_eigenstate(eig0, j),
-                  Wavefunction.from_eigenstate(eigf, j))
-            for key, j in levels.items()}
+    return [(Wavefunction.from_eigenstate(eig0, j),
+             Wavefunction.from_eigenstate(eigf, j)) for j in levels]
 
 
 def schedule_factory(preset: Preset, method: str,
@@ -191,12 +188,13 @@ def schedule_factory(preset: Preset, method: str,
     raise UsageError("unknown method %r (have: %s)" % (method, ", ".join(METHODS)))
 
 
-def _final_fidelity(pair, sched: Schedule, dt: float) -> float:
-    """Propagate pair[0] under `sched` and score it against pair[1].
+def _final_fidelities(jobs, dt: float) -> list:
+    """For each ((psi0, target), schedule) job, in order: propagate psi0
+    under the schedule and score it against target.
 
     Every propagation of an experiment goes through here."""
-    psi0, target = pair
-    return fidelity(propagate(psi0, sched, dt).final_state, target)
+    return [fidelity(propagate(psi0, sched, dt).final_state, target)
+            for (psi0, target), sched in jobs]
 
 
 def _checked_durations(t_f_list: Sequence[float]) -> list:
@@ -222,27 +220,22 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
     """
     tfs = _checked_durations(t_f_list)
     make_schedule = schedule_factory(preset, method, cache_dir)
-    pairs = _endpoint_states(preset, include_ground)
-
-    def one(tf: float) -> ScanRow:
-        try:
-            sched = make_schedule(tf)
-            Fn = _final_fidelity(pairs["n"], sched, preset.dt)
-            row = ScanRow(t_f=tf, F_n=Fn,
-                          c=math.nan if sched.c is None else sched.c)
-            if include_ground:
-                F0 = _final_fidelity(pairs["0"], sched, preset.dt)
-                row = replace(row, F_0=F0,
-                              F_avg=superposition_fidelity(F0, Fn))
-            return row
-        except TrapMorphError as exc:
-            return ScanRow(t_f=tf, error=str(exc))
-        except Exception as exc:  # one bad row must not end the scan
-            return ScanRow(t_f=tf, error="%s: %s" % (type(exc).__name__, exc))
-
+    levels = (preset.n_target, 0) if include_ground else (preset.n_target,)
+    pairs = _endpoint_pairs(preset, levels)
     rows = []
     for tf in tfs:
-        row = one(tf)
+        try:
+            sched = make_schedule(tf)
+            Fs = _final_fidelities([(pair, sched) for pair in pairs], preset.dt)
+            row = ScanRow(t_f=tf, F_n=Fs[0],
+                          c=math.nan if sched.c is None else sched.c)
+            if include_ground:
+                row = replace(row, F_0=Fs[1],
+                              F_avg=superposition_fidelity(Fs[1], Fs[0]))
+        except TrapMorphError as exc:
+            row = ScanRow(t_f=tf, error=str(exc))
+        except Exception as exc:  # one bad row must not end the scan
+            row = ScanRow(t_f=tf, error="%s: %s" % (type(exc).__name__, exc))
         if progress is not None:
             progress(row)
         rows.append(row)
@@ -268,9 +261,9 @@ def run_demultiplexing(preset: Preset, method: str, t_f: float,
     [t_f] = _checked_durations([t_f])
     sched = schedule_factory(preset, method, cache_dir)(
         on_step_grid(t_f, preset.dt))
-    pair = _endpoint_states(preset, include_ground=False)["n"]
-    return (_final_fidelity(pair, sched, preset.dt),
-            _final_fidelity(pair[::-1], sched.reversed(), preset.dt))
+    [pair] = _endpoint_pairs(preset, [preset.n_target])
+    return tuple(_final_fidelities([(pair, sched),
+                                    (pair[::-1], sched.reversed())], preset.dt))
 
 
 CSV_HEADER = "t_f,F_n,F_0,F_avg,c"

@@ -1,5 +1,6 @@
 """Profile disk cache: round trips, invalidation, corruption recovery."""
 
+import errno
 import hashlib
 import io
 import os
@@ -364,6 +365,18 @@ def test_failed_companion_keeps_requested_profile(tmp_path, mini, fake_build,
     assert len(prof.lambda_grid) == 257
     assert _entry(tmp_path, other).exists()
     assert not _entry(tmp_path, other, "la").exists()
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, mini, fake_build,
+                                               monkeypatch):
+    def disk_full(fp, *args):
+        fp.write(b"partial")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cache, "write_profile", disk_full)
+    prof = cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    assert len(prof.lambda_grid) == 257
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_session_profile_cache_round_trips_real_data(mini, faquad_profile,

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph import cli
-from trapmorph.errors import UsageError
+from trapmorph import cli, scans
+from trapmorph.errors import PropagationError, UsageError
 from trapmorph.schedule import Schedule
 
 
@@ -224,6 +224,39 @@ def test_scan_superposition_columns(tmp_path, capsys):
     row = open(out_csv).read().splitlines()[-1].split(",")
     F_n, F_0, F_avg = float(row[1]), float(row[2]), float(row[3])
     assert_allclose(F_avg, 0.5 * (F_0 + F_n), rtol=1e-10)
+
+
+def test_scan_with_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(psi0, drive, dt):
+        raise PropagationError("synthetic failure")
+
+    monkeypatch.setattr(scans, "propagate", broken)
+    out_csv = str(tmp_path / "f.csv")
+    code, out, err = run(["scan", "--preset", "mini", "--method", "linear",
+                          "--tf", "10,12", "--out", out_csv], capsys)
+    assert code == 1 and out == ""
+    assert err.endswith("error: scan produced no successful rows\n")
+    comments = [ln for ln in open(out_csv).read().splitlines()
+                if ln.startswith("# t_f=")]
+    assert comments == ["# t_f=10 failed: synthetic failure",
+                        "# t_f=12 failed: synthetic failure"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--method", "linear", "--tf", "10", "--out", "{missing}/x.csv"],
+    ["scan", "--method", "linear", "--tf", "10", "--out", "{tmp}/x.csv",
+     "--plot-script", "{missing}/x.gp"],
+    ["design", "--tf", "20", "--out", "{missing}/s.txt",
+     "--cache-dir", "{cache}"],
+])
+def test_unwritable_output_is_an_error_not_a_traceback(argv, tmp_path, capsys,
+                                                       profile_cache):
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path,
+                     cache=profile_cache) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "No such file or directory" in err
 
 
 # --- config file ---------------------------------------------------------------

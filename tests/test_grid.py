@@ -34,8 +34,8 @@ def test_refined():
     g2 = g.refined(2)
     assert (g2.x_min, g2.x_max, g2.n) == (-20.0, 20.0, 1024)
     assert g2.dx == g.dx / 2
-    assert g.same_as(tm.SpatialGrid(-20.0, 20.0, 512))
-    assert not g.same_as(g2)
+    assert g == tm.SpatialGrid(-20.0, 20.0, 512)
+    assert g != g2
 
 
 def test_boundary_mass():

@@ -1,12 +1,14 @@
 """Split-operator propagation: conservation laws, accuracy, reporting."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
+from trapmorph import schedule
 from trapmorph.errors import ConfinementError, GridError, PropagationError
 
 HARMONIC = tm.PotentialParams(0.5, 0.0, 0.0)  # omega = 1
@@ -190,6 +192,33 @@ def test_schedule_convergence_in_dt(mini, mini_eigs, faquad_profile):
     F1 = tm.fidelity(tm.propagate(psi0, sched, 0.005).final_state, target)
     F2 = tm.fidelity(tm.propagate(psi0, sched, 0.0025).final_state, target)
     assert abs(F1 - F2) < 1e-6
+
+
+def test_error_budget(mini, mini_eigs, faquad_profile, monkeypatch):
+    # how far FAQUAD F_2 at t_f = 20 moves when the time step halves, the
+    # profile's refinement tolerance halves and the grid doubles
+    def F(profile, preset, eigs, dt):
+        psi0, target = (tm.Wavefunction.from_eigenstate(e, preset.n_target)
+                        for e in eigs)
+        sched = tm.invert_profile(profile, preset.path, 20.0)
+        return tm.fidelity(tm.propagate(psi0, sched, dt).final_state, target)
+
+    F0 = F(faquad_profile, mini, mini_eigs, mini.dt)
+    d_dt = abs(F(faquad_profile, mini, mini_eigs, mini.dt / 2) - F0)
+    fine = replace(mini, grid=mini.grid.refined(2))
+    fine_eigs = [tm.eigensolve(p, fine.grid, fine.k, refine=False)
+                 for p in (fine.path.initial, fine.path.final)]
+    fine_profile = schedule.build_profile(fine.path, fine.grid, fine.n_target)
+    d_grid = abs(F(fine_profile, fine, fine_eigs, fine.dt) - F0)
+    monkeypatch.setattr(schedule, "QUADRATURE_REFINE_TOL",
+                        schedule.QUADRATURE_REFINE_TOL / 2)
+    tight = schedule.build_profile(mini.path, mini.grid, mini.n_target)
+    d_profile = abs(F(tight, mini, mini_eigs, mini.dt) - F0)
+    print("error budget: F_2(t_f = 20) = %.6f; dt/2 %.1e, refine tol/2 %.1e "
+          "(%d -> %d nodes), grid x2 %.1e"
+          % (F0, d_dt, d_profile, len(faquad_profile.lambda_grid),
+             len(tight.lambda_grid), d_grid))
+    assert d_dt <= 1e-5 and d_profile <= 1e-5 and d_grid <= 2e-3
 
 
 def test_drive_adapters(mini, faquad_profile):
