@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .eigen import eigensolve, localization, max_levels
-from .errors import TrapMorphError, UsageError
+from .errors import GridError, TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import PotentialParams
 from .scans import (METHODS, PRESETS, csv_preamble, csv_row_line,
@@ -42,7 +42,7 @@ def _parse_duration(token: str, preset) -> float:
     """One positive, finite duration; SI presets also take a time suffix."""
     token = token.strip()
     body, suffix = token, None
-    for suf in ("ns", "us", "ms", "s"):
+    for suf in _TIME_SUFFIXES:  # "s" comes last, after the longer suffixes
         if token.endswith(suf) and token[: -len(suf)].strip():
             body, suffix = token[: -len(suf)], suf
             break
@@ -105,6 +105,8 @@ def _parse_grid(spec: str) -> SpatialGrid:
         return SpatialGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError:
         raise UsageError("bad --grid %r" % spec) from None
+    except GridError as exc:
+        raise UsageError("bad --grid %r: %s" % (spec, exc)) from None
 
 
 def cmd_eigen(args) -> int:
@@ -155,6 +157,10 @@ def cmd_scan(args) -> int:
 
     tfs = _parse_tf_spec(args, preset)
     out = args.out or ("scan_%s_%s.csv" % (preset.name, args.method))
+    if args.plot_script:  # names only the CSV path, so it fails before any row
+        with open(args.plot_script, "w") as pfp:
+            emit_plot_script(out, pfp,
+                             title="%s / %s" % (preset.name, args.method))
     with open(out, "w") as fp:
         fp.write(csv_preamble(preset.name, args.method, preset.n_target,
                               "s" if preset.units is not None else
@@ -175,10 +181,6 @@ def cmd_scan(args) -> int:
                           include_ground=args.superposition,
                           cache_dir=args.cache_dir,
                           progress=progress)
-    if args.plot_script:
-        with open(args.plot_script, "w") as pfp:
-            emit_plot_script(out, pfp,
-                             title="%s / %s" % (preset.name, args.method))
     best = result.best_row()  # raises when every row failed
     print("best t_f=%.12g F_n=%.12g out=%s"
           % (best.t_f * preset.time_to_SI, best.F_n, out))
@@ -201,10 +203,10 @@ def _build_parser():
     ap = argparse.ArgumentParser(
         prog="trapmorph",
         description="Trap-deformation schedule design and verification.",
+        allow_abbrev=False,
     )
     ap.add_argument("--config", help="INI config file; flags override it")
     sub = ap.add_subparsers(dest="command", required=True)
-    registry = {}
 
     def common(p):
         p.add_argument("--preset", default="mini",
@@ -220,7 +222,8 @@ def _build_parser():
     pe.add_argument("--k", type=int, default=6, help="number of levels")
     pe.add_argument("--inline", default=None,
                     help="inline trap A=..,B=..[,C=..] instead of a preset")
-    pe.add_argument("--grid", default=None, help="XMIN:XMAX:NPOINTS")
+    pe.add_argument("--grid", default=None,
+                    help="XMIN:XMAX:NPOINTS (write --grid=-20:20:512)")
     pe.set_defaults(fn=cmd_eigen)
 
     pd = sub.add_parser("design", help="design and serialize a schedule")
@@ -251,66 +254,60 @@ def _build_parser():
     pp = sub.add_parser("presets", help="list shipped presets")
     pp.add_argument("action", nargs="?", default="list")
     pp.set_defaults(fn=cmd_presets)
-
-    registry.update(eigen=pe, design=pd, scan=ps, presets=pp)
-    return ap, registry
+    return ap, sub
 
 
-def _apply_config(registry, argv) -> list:
+def _apply_config(sub, argv) -> list:
     """Inject config-file values as subparser defaults (flags still win).
-    Takes `--config FILE` and `--config=FILE` alike."""
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 == len(argv):
-                raise UsageError("--config needs a file path")
-            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-            break
-        if token.startswith("--config="):
-            path, rest = token[len("--config="):], argv[:i] + argv[i + 1:]
-            break
-    else:
-        return argv
+    Takes `--config FILE` and `--config=FILE` anywhere; the last one wins."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        opts, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        raise UsageError("--config needs a file path") from None
+    if opts.config is None:
+        return rest
     cp = configparser.ConfigParser(interpolation=None)  # values as typed
     try:
-        read = cp.read(path)
+        read = cp.read(opts.config)
     except configparser.Error as exc:
-        raise UsageError("config file %r: %s" % (path, exc)) from None
+        raise UsageError("config file %r: %s" % (opts.config, exc)) from None
     if not read:
-        raise UsageError("config file %r not found" % path)
+        raise UsageError("config file %r not found" % opts.config)
     if not rest:
         raise UsageError("--config needs a subcommand")
     command = rest[0]
-    if command in registry and cp.has_section(command):
-        seen = set()
-        for action in registry[command]._actions:
-            for opt in action.option_strings:
-                key = opt.lstrip("-")
-                seen.add(key)
-                if not cp.has_option(command, key):
-                    continue
-                value = cp.get(command, key)
-                try:
-                    if isinstance(action, argparse._StoreTrueAction):
-                        action.default = cp.getboolean(command, key)
-                    elif action.type is int:
-                        action.default = int(value)
-                    else:
-                        action.default = value
-                except ValueError:
-                    raise UsageError("bad value in config [%s]: %s = %s"
-                                     % (command, key, value)) from None
-        unknown = set(cp.options(command)) - seen
-        if unknown:
-            raise UsageError("unknown config keys in [%s]: %s"
-                             % (command, ", ".join(sorted(unknown))))
+    if command not in sub.choices or not cp.has_section(command):
+        return rest
+    actions = {opt.lstrip("-"): action
+               for action in sub.choices[command]._actions
+               for opt in action.option_strings}
+    unknown = set(cp.options(command)) - actions.keys()
+    if unknown:
+        raise UsageError("unknown config keys in [%s]: %s"
+                         % (command, ", ".join(sorted(unknown))))
+    for key in cp.options(command):
+        action, value = actions[key], cp.get(command, key)
+        try:
+            if isinstance(action, argparse._StoreTrueAction):
+                action.default = cp.getboolean(command, key)
+            elif action.type is int:
+                action.default = int(value)
+            else:
+                action.default = value
+        except ValueError:
+            raise UsageError("bad value in config [%s]: %s = %s"
+                             % (command, key, value)) from None
     return rest
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap, registry = _build_parser()
+    ap, sub = _build_parser()
     try:
-        argv = _apply_config(registry, argv)
+        argv = _apply_config(sub, argv)
         args = ap.parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be >= 1")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise GridError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise GridError("need x_min < x_max")
         if self.n < 16:

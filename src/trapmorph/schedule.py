@@ -218,7 +218,12 @@ class Schedule:
             raise ScheduleError("A samples must be strictly monotone")
         if abs(t[0]) > ENDPOINT_TOL or abs(t[-1] - self.t_f) > ENDPOINT_TOL:
             raise ScheduleError("sample times must span [0, t_f] exactly")
-        object.__setattr__(self, "_interp", PchipInterpolator(t, A))
+        try:
+            interp = PchipInterpolator(t, A)
+        except ValueError as exc:  # non-finite slopes: t_f <= 1e-161 on mini
+            raise ScheduleError("t_f=%r is too short to interpolate: %s"
+                                % (self.t_f, exc)) from None
+        object.__setattr__(self, "_interp", interp)
 
     def A_of_t(self, t):
         """Interpolated control value(s); clamped to the sampled range."""

@@ -57,6 +57,10 @@ def test_eigen_bad_inputs(capsys):
     assert run(["eigen", "--inline", "A=0.5"], capsys)[0] == 2
     assert run(["eigen", "--inline", "A=0.5,B=0", "--grid", "bogus"],
                capsys)[0] == 2
+    # a grid that SpatialGrid refuses is a bad flag value too
+    for grid in ("20:-20:512", "-20:20:8", "-inf:20:512"):
+        code, _, err = run(["eigen", "--grid=" + grid], capsys)
+        assert code == 2 and err.startswith("usage error: bad --grid"), grid
     # presets are retargeted to n >= 1 only; --inline holds unbiased traps
     for n in ("0", "-1"):
         code, _, err = run(["eigen", "--n", n], capsys)
@@ -111,6 +115,14 @@ def test_design_si_suffix_rejected_for_dimensionless(tmp_path, capsys):
     code, _, err = run(["design", "--preset", "mini", "--tf", "20us",
                         "--out", str(tmp_path / "x.txt")], capsys)
     assert code == 2
+
+
+def test_design_too_short_exits_1(tmp_path, capsys):
+    code, _, err = run(["design", "--preset", "mini", "--method", "linear",
+                        "--tf", "1e-200", "--out", str(tmp_path / "x.txt")],
+                       capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_duration_parsing_for_si_presets():
@@ -257,6 +269,9 @@ def test_unwritable_output_is_an_error_not_a_traceback(argv, tmp_path, capsys,
     assert code == 1
     assert err.splitlines()[-1].startswith("error: ")
     assert "No such file or directory" in err
+    if "--plot-script" in argv:  # refused before any row ran
+        assert "row t_f=" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 # --- config file ---------------------------------------------------------------
@@ -318,3 +333,42 @@ def test_missing_config_file(tmp_path, capsys):
         code, _, err = run(config + ["presets", "list"], capsys)
         assert code == 2, config
         assert "not found" in err
+
+
+def test_config_anywhere_and_last_wins(tmp_path, capsys):
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    out_csv = tmp_path / "a.csv"
+    good.write_text("[scan]\nmethod = linear\ntf = 11\n")
+    code, _, _ = run(["scan", "--config", str(good), "--preset", "mini",
+                      "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert "method=linear" in out_csv.read_text()
+    assert out_csv.read_text().splitlines()[-1].startswith("11,")
+    good.write_text("[eigen]\nk = 2\n")
+    bad.write_text("[eigen]\nk = abc\n")
+    for argv in (["eigen", "--config=%s" % good],
+                 ["--config", str(bad), "eigen", "--config", str(good)]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert len(out.splitlines()) == 3  # header and k = 2 levels
+    code, _, err = run(["--config", str(good), "eigen", "--config", str(bad)],
+                       capsys)
+    assert code == 2 and "k = abc" in err
+
+
+def test_config_without_a_path(capsys):
+    for argv in (["eigen", "--config"], ["--config", "--k", "3", "eigen"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err == "usage error: --config needs a file path\n"
+
+
+def test_config_is_not_abbreviated(tmp_path, capsys):
+    cfg = tmp_path / "x.ini"
+    cfg.write_text("[presets]\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--conf", str(cfg), "presets"])
+    assert exc.value.code == 2
+    # a subcommand's own options still abbreviate
+    ap, _ = cli._build_parser()
+    assert ap.parse_args(["scan", "--c", "d"]).cache_dir == "d"

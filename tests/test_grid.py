@@ -53,3 +53,6 @@ def test_validation():
         tm.SpatialGrid(1.0, -1.0, 64)
     with pytest.raises(GridError):
         tm.SpatialGrid(-1.0, 1.0, 8)
+    for lo, hi in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(GridError):
+            tm.SpatialGrid(lo, hi, 64)

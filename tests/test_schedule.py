@@ -221,6 +221,10 @@ def test_schedule_validation(mini):
                  A_values=np.array([path.A0, 0.3, 0.1]), method="linear")
     with pytest.raises(ScheduleError):  # does not reach t_f
         Schedule(path=path, t_f=3.0, times=t, A_values=a, method="linear")
+    # so short that the PCHIP slopes are not finite: scipy's ValueError
+    # must not leak
+    with pytest.raises(ScheduleError):
+        tm.linear_schedule(path, 1e-200)
 
 
 def test_non_finite_durations_are_refused(mini):
