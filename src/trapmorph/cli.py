@@ -56,7 +56,7 @@ def _parse_duration(token: str, preset) -> float:
                 "preset %r is dimensionless; give plain durations"
                 % preset.name
             )
-        val = val * _TIME_SUFFIXES[suffix] / preset.units.time_unit
+        val = val * _TIME_SUFFIXES[suffix] / preset.time_to_SI
     if not (math.isfinite(val) and val > 0.0):
         raise UsageError("duration %r must be positive and finite" % token)
     return val
@@ -134,9 +134,9 @@ def cmd_design(args) -> int:
     tf = _parse_duration(args.tf, preset)
     sched = schedule_factory(preset, args.method, args.cache_dir)(tf)
     with open(args.out, "w") as fp:
-        fp.write(sched.to_text())
+        fp.write(sched.to_text())  # internal units, as its header records
     print("method=%s t_f=%.12g c=%s out=%s"
-          % (sched.method, sched.t_f,
+          % (sched.method, sched.t_f * preset.time_to_SI,
              "none" if sched.c is None else "%.12g" % sched.c, args.out))
     return 0
 
@@ -162,9 +162,7 @@ def cmd_scan(args) -> int:
             emit_plot_script(out, pfp,
                              title="%s / %s" % (preset.name, args.method))
     with open(out, "w") as fp:
-        fp.write(csv_preamble(preset.name, args.method, preset.n_target,
-                              "s" if preset.units is not None else
-                              "dimensionless"))
+        fp.write(csv_preamble(preset, args.method))
         fp.flush()
 
         def progress(row):

@@ -146,12 +146,9 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    preset_name: str
+    preset: Preset
     method: str
-    n_target: int
     rows: tuple
-    t_unit: str  # 's' for SI presets, 'dimensionless' otherwise
-    t_scale: float  # multiply internal t_f by this when emitting
 
     def best_row(self) -> ScanRow:
         ok = [r for r in self.rows if r.error is None]
@@ -239,12 +236,7 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
         if progress is not None:
             progress(row)
         rows.append(row)
-    return ScanResult(
-        preset_name=preset.name, method=method, n_target=preset.n_target,
-        rows=tuple(rows),
-        t_unit="s" if preset.units is not None else "dimensionless",
-        t_scale=preset.time_to_SI,
-    )
+    return ScanResult(preset, method, tuple(rows))
 
 
 def on_step_grid(t_f: float, dt: float) -> float:
@@ -273,10 +265,11 @@ def _fmt(v: float) -> str:
     return "" if (isinstance(v, float) and math.isnan(v)) else "%.12g" % v
 
 
-def csv_preamble(preset_name: str, method: str, n_target: int,
-                 t_unit: str) -> str:
+def csv_preamble(preset: Preset, method: str) -> str:
+    """The comment line naming the scan and t_f's unit, then the header."""
+    unit = "s" if preset.units is not None else "dimensionless"
     return ("# trapmorph scan: preset=%s method=%s n=%d t_f_unit=%s\n"
-            % (preset_name, method, n_target, t_unit)) + CSV_HEADER + "\n"
+            % (preset.name, method, preset.n_target, unit)) + CSV_HEADER + "\n"
 
 
 def csv_row_line(row: ScanRow, t_scale: float) -> str:
@@ -293,10 +286,9 @@ def emit_csv(result: ScanResult, fp) -> None:
     """Write a scan as CSV: fixed column order, 12 significant digits,
     SI presets emit t_f in seconds (unit recorded in the comment line).
     Failed rows become '#' comment lines so the data columns stay clean."""
-    fp.write(csv_preamble(result.preset_name, result.method, result.n_target,
-                          result.t_unit))
+    fp.write(csv_preamble(result.preset, result.method))
     for r in result.rows:
-        fp.write(csv_row_line(r, result.t_scale))
+        fp.write(csv_row_line(r, result.preset.time_to_SI))
 
 
 def read_csv(fp):

@@ -220,6 +220,8 @@ class Schedule:
             raise ScheduleError("sample times must span [0, t_f] exactly")
         try:
             interp = PchipInterpolator(t, A)
+            if not np.all(np.isfinite(interp.c)):  # t_f < ~1e-100 on mini
+                raise ValueError("interpolant coefficients are not finite")
         except ValueError as exc:  # non-finite slopes: t_f <= 1e-161 on mini
             raise ScheduleError("t_f=%r is too short to interpolate: %s"
                                 % (self.t_f, exc)) from None

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, file outputs."""
 
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,6 +113,20 @@ def test_design_linear(tmp_path, capsys):
     assert sched.c is None
 
 
+def test_design_prints_t_f_in_the_preset_unit(tmp_path, capsys):
+    # printed in seconds, as scan and --demux print it; the schedule file
+    # keeps internal units, as its header does
+    out_path = str(tmp_path / "be.txt")
+    code, out, _ = run(["design", "--preset", "beryllium", "--method",
+                        "linear", "--tf", "20us", "--out", out_path], capsys)
+    assert code == 0
+    assert_allclose(float(out.split("t_f=")[1].split()[0]), 2e-05,
+                     rtol=1e-12)
+    sched = Schedule.from_text(open(out_path).read())
+    assert_allclose(sched.t_f * tm.beryllium_preset().time_to_SI, 2e-05,
+                    rtol=1e-12)
+
+
 def test_design_si_suffix_rejected_for_dimensionless(tmp_path, capsys):
     code, _, err = run(["design", "--preset", "mini", "--tf", "20us",
                         "--out", str(tmp_path / "x.txt")], capsys)
@@ -166,6 +182,17 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert lines[1] == "t_f,F_n,F_0,F_avg,c"
     assert len(lines) == 4
     assert "row t_f=10" in err  # progress is streamed to stderr
+
+
+def test_scan_writes_the_library_csv(tmp_path, capsys):
+    out_csv = str(tmp_path / "scan.csv")
+    code, _, _ = run(["scan", "--preset", "mini", "--method", "linear",
+                      "--tf", "10,12.3457,15", "--out", out_csv], capsys)
+    assert code == 0
+    buf = io.StringIO()
+    scans.emit_csv(scans.run_scan(tm.mini_preset(), "linear",
+                                  [10, 12.3457, 15]), buf)
+    assert open(out_csv).read() == buf.getvalue()
 
 
 def test_scan_jobs_flag_is_accepted(tmp_path, capsys):

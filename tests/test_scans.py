@@ -71,7 +71,8 @@ def test_scan_rows_are_ordered_and_complete(faquad_scan, tf_grid):
     assert ts == sorted(ts)
     assert all(r.error is None for r in faquad_scan.rows)
     assert faquad_scan.method == "faquad"
-    assert faquad_scan.t_unit == "dimensionless"
+    assert "t_f_unit=dimensionless" in csv_preamble(faquad_scan.preset,
+                                                    faquad_scan.method)
 
 
 def test_scan_c_scales_inversely_with_duration(faquad_scan):
@@ -96,15 +97,14 @@ def test_fidelity_improves_with_adiabaticity(faquad_scan):
     assert faquad_scan.rows[0].F_n < 0.5
 
 
-def test_best_row_and_threshold_semantics():
+def test_best_row_and_threshold_semantics(mini):
     rows = (ScanRow(t_f=1.0, F_n=0.2), ScanRow(t_f=2.0, error="boom"),
             ScanRow(t_f=3.0, F_n=0.95), ScanRow(t_f=4.0, F_n=0.91))
-    res = ScanResult("mini", "faquad", 2, rows, "dimensionless", 1.0)
+    res = ScanResult(mini, "faquad", rows)
     assert res.best_row().t_f == 3.0
     assert res.threshold_tf(0.9) == 3.0
     assert math.isnan(res.threshold_tf(0.99))
-    empty = ScanResult("mini", "faquad", 2,
-                       (ScanRow(t_f=1.0, error="x"),), "dimensionless", 1.0)
+    empty = ScanResult(mini, "faquad", (ScanRow(t_f=1.0, error="x"),))
     with pytest.raises(tm.TrapMorphError):
         empty.best_row()
 
@@ -208,10 +208,10 @@ def test_csv_deterministic(faquad_scan):
     assert a.getvalue() == b.getvalue()
 
 
-def test_csv_failed_rows_become_comments():
+def test_csv_failed_rows_become_comments(mini):
     rows = (ScanRow(t_f=1.0, F_n=0.5, F_0=0.4, F_avg=0.45, c=2.0),
             ScanRow(t_f=2.0, error="synthetic failure"))
-    res = ScanResult("mini", "faquad", 2, rows, "dimensionless", 1.0)
+    res = ScanResult(mini, "faquad", rows)
     buf = io.StringIO()
     tm.emit_csv(res, buf)
     lines = buf.getvalue().splitlines()
@@ -222,10 +222,10 @@ def test_csv_failed_rows_become_comments():
 
 def test_csv_si_scaling():
     rows = (ScanRow(t_f=1000.0, F_n=0.5, c=2.0),)
-    res = ScanResult("beryllium", "faquad", 4, rows, "s", 2.82134512884651e-8)
-    line = csv_row_line(rows[0], res.t_scale)
+    res = ScanResult(tm.beryllium_preset(), "faquad", rows)
+    line = csv_row_line(rows[0], res.preset.time_to_SI)
     assert line.startswith("2.82134512885e-05,")  # seconds, 12 digits
-    pre = csv_preamble(res.preset_name, res.method, res.n_target, res.t_unit)
+    pre = csv_preamble(res.preset, res.method)
     assert "t_f_unit=s" in pre
 
 

@@ -208,7 +208,7 @@ def test_linear_schedule():
     assert sched.A_of_t(51.0) == path.Af
 
 
-def test_schedule_validation(mini):
+def test_schedule_validation(mini, faquad_profile):
     path = mini.path
     t = np.array([0.0, 1.0, 2.0])
     a = np.array([path.A0, 0.0, path.Af])
@@ -225,6 +225,14 @@ def test_schedule_validation(mini):
     # must not leak
     with pytest.raises(ScheduleError):
         tm.linear_schedule(path, 1e-200)
+    # below about 1e-100 (FAQUAD) or 1e-105 (linear) the slopes are finite
+    # but the PCHIP coefficients overflow, so A_of_t would return NaN
+    for make in (lambda t_f: tm.linear_schedule(path, t_f),
+                 lambda t_f: tm.invert_profile(faquad_profile, path, t_f)):
+        with pytest.raises(ScheduleError):
+            make(1e-120)
+        sched = make(1e-100)
+        assert np.all(np.isfinite(sched.A_of_t(np.linspace(0.0, 1e-100, 101))))
 
 
 def test_non_finite_durations_are_refused(mini):
