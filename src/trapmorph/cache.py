@@ -25,6 +25,7 @@ import hashlib
 import os
 import struct
 import zlib
+from dataclasses import astuple
 from pathlib import Path
 from typing import Optional
 
@@ -41,8 +42,9 @@ MAGIC = b"TMPROF"
 VERSION = 3
 _PREFIX = struct.Struct("<6sH")  # magic and version: every format starts so
 _INPUTS = struct.Struct("<ddddddIIddIIQd")
-# A0, Af, B0, kappa, eps, C, n_target, method (index in PROFILE_METHODS),
-# x_min, x_max, grid_n, target_n, start nodes, refine_tol
+# path fields (A0 Af B0 kappa eps C n_target), method (index in
+# PROFILE_METHODS), grid fields (x_min x_max n), target_n, start nodes,
+# refine_tol; a field added to either dataclass makes every pack fail
 _TAIL = struct.Struct("<QI")  # count, body crc32
 _HEADER = struct.Struct(_PREFIX.format + _INPUTS.format[1:] + _TAIL.format[1:])
 # the body is count lambda values then count g values, float64
@@ -60,10 +62,8 @@ def cache_dir(explicit: Optional[str] = None) -> Path:
 def _inputs(path: DeformationPath, grid: SpatialGrid, n: int,
             method: str) -> bytes:
     """The header bytes that name an entry and must match to serve it."""
-    return _INPUTS.pack(path.A0, path.Af, path.B0, path.kappa, path.eps,
-                        path.C, path.n_target, profile_column(method),
-                        grid.x_min, grid.x_max, grid.n, n,
-                        PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL)
+    return _INPUTS.pack(*astuple(path), profile_column(method), *astuple(grid),
+                        n, PROFILE_NODES_DEFAULT, QUADRATURE_REFINE_TOL)
 
 
 def profile_key(path: DeformationPath, grid: SpatialGrid, n: int,

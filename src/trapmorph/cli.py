@@ -63,7 +63,7 @@ def _parse_duration(token: str, preset) -> float:
 
 
 def _parse_tf_spec(args, preset) -> list:
-    if args.tf_range:
+    if args.tf_range is not None:
         parts = args.tf_range.split(":")
         if len(parts) != 3:
             raise UsageError("--tf-range wants START:STOP:COUNT")
@@ -76,7 +76,7 @@ def _parse_tf_spec(args, preset) -> list:
         if not (0 < lo < hi) or count < 2:
             raise UsageError("--tf-range needs 0 < START < STOP and COUNT >= 2")
         return list(np.geomspace(lo, hi, count))  # log-spaced, as documented
-    if args.tf:
+    if args.tf is not None:
         return [_parse_duration(t, preset) for t in args.tf.split(",")]
     return list(default_tf_grid(preset))
 
@@ -143,7 +143,7 @@ def cmd_design(args) -> int:
 
 def cmd_scan(args) -> int:
     preset = get_preset(args.preset, args.n)
-    if args.tf and args.tf_range:
+    if args.tf is not None and args.tf_range is not None:
         raise UsageError("give --tf or --tf-range, not both")
     if args.demux:
         if not args.tf or "," in args.tf:
@@ -256,7 +256,8 @@ def _build_parser():
 
 
 def _apply_config(sub, argv) -> list:
-    """Inject config-file values as subparser defaults (flags still win).
+    """Inject config-file values as subparser defaults (flags still win;
+    a required flag that the config sets is no longer required).
     Takes `--config FILE` and `--config=FILE` anywhere; the last one wins."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                   exit_on_error=False)
@@ -298,6 +299,7 @@ def _apply_config(sub, argv) -> list:
         except ValueError:
             raise UsageError("bad value in config [%s]: %s = %s"
                              % (command, key, value)) from None
+        action.required = False  # the config supplies it
     return rest
 
 

@@ -127,7 +127,6 @@ class NeighborCoupling:
     """|<n| dH/dA |m>| and gaps E_n - E_m for the four nearest neighbors
     m in {n-2, n-1, n+1, n+2} clipped to the available levels."""
 
-    n: int
     neighbors: tuple
     couplings: np.ndarray
     gaps: np.ndarray
@@ -157,7 +156,7 @@ def couplings(eig: EigenSet, path: DeformationPath, n: int) -> NeighborCoupling:
             )
         els[i] = abs(matrix_element(eig, n, m, dH))
         gaps[i] = gap
-    return NeighborCoupling(n=n, neighbors=nbrs, couplings=els, gaps=gaps)
+    return NeighborCoupling(neighbors=nbrs, couplings=els, gaps=gaps)
 
 
 def matrix_element(eig: EigenSet, i: int, j: int, op_values: np.ndarray) -> float:

@@ -85,7 +85,6 @@ class PropagationReport:
     final_state: Wavefunction
     norm_drift: float
     steps: int
-    dt: float
     wall_s: float  # wall time of the propagate call
 
 
@@ -233,8 +232,7 @@ def propagate(psi0: Wavefunction, drive, dt: float) -> PropagationReport:
     final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
     steps = m + (1 if rem > 0.0 else 0)
     return PropagationReport(final_state=final, norm_drift=drift,
-                             steps=steps, dt=dt,
-                             wall_s=time.perf_counter() - start)
+                             steps=steps, wall_s=time.perf_counter() - start)
 
 
 def fidelity(psi: Wavefunction, target: Wavefunction) -> float:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import FlatDirectionError, ScheduleError
+from .errors import FlatDirectionError, ScheduleError, TrapMorphError
 from .eigen import couplings, eigensolve, levels_needed
 from .grid import SpatialGrid
 from .potential import DeformationPath
@@ -218,12 +218,13 @@ class Schedule:
             raise ScheduleError("A samples must be strictly monotone")
         if abs(t[0]) > ENDPOINT_TOL or abs(t[-1] - self.t_f) > ENDPOINT_TOL:
             raise ScheduleError("sample times must span [0, t_f] exactly")
-        try:
-            interp = PchipInterpolator(t, A)
-            if not np.all(np.isfinite(interp.c)):  # t_f < ~1e-100 on mini
+        try:  # on mini the build overflows for t_f < ~1e-100 or > ~1e154
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                interp = PchipInterpolator(t, A)
+            if not np.all(np.isfinite(interp.c)):  # backstop
                 raise ValueError("interpolant coefficients are not finite")
-        except ValueError as exc:  # non-finite slopes: t_f <= 1e-161 on mini
-            raise ScheduleError("t_f=%r is too short to interpolate: %s"
+        except (ValueError, FloatingPointError) as exc:
+            raise ScheduleError("t_f=%r cannot be interpolated: %s"
                                 % (self.t_f, exc)) from None
         object.__setattr__(self, "_interp", interp)
 
@@ -259,11 +260,8 @@ class Schedule:
         buf.write("# method = %s\n" % self.method)
         buf.write("# t_f = %.17g\n" % self.t_f)
         buf.write("# c = %s\n" % ("none" if self.c is None else "%.17g" % self.c))
-        buf.write(
-            "# path: A0 = %.17g, Af = %.17g, B0 = %.17g, kappa = %.17g, "
-            "eps = %.17g, C = %.17g, n_target = %d\n"
-            % (p.A0, p.Af, p.B0, p.kappa, p.eps, p.C, p.n_target)
-        )
+        buf.write("# path: %s\n" % ", ".join(
+            "%s = %.17g" % (f.name, getattr(p, f.name)) for f in fields(p)))
         buf.write("# columns: t A\n")
         for t, a in zip(self.times, self.A_values):
             buf.write("%.17g %.17g\n" % (t, a))
@@ -291,15 +289,13 @@ class Schedule:
                 t, a = line.split()
                 ts.append(float(t))
                 As.append(float(a))
-            path = DeformationPath(
-                A0=float(meta["A0"]), Af=float(meta["Af"]), B0=float(meta["B0"]),
-                kappa=float(meta["kappa"]), eps=float(meta["eps"]),
-                C=float(meta["C"]), n_target=int(meta["n_target"]),
-            )
+            kinds = get_type_hints(DeformationPath)  # float, or int for n_target
+            path = DeformationPath(**{f.name: kinds[f.name](meta[f.name])
+                                      for f in fields(DeformationPath)})
             c = None if meta.get("c", "none") == "none" else float(meta["c"])
             return cls(path=path, t_f=float(meta["t_f"]), times=np.array(ts),
                        A_values=np.array(As), method=meta.get("method", "?"), c=c)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TrapMorphError) as exc:
             raise ScheduleError("unparseable schedule text: %s" % exc) from exc
 
 

@@ -20,7 +20,7 @@ so alpha is a spring constant (N/m), beta N/m^3 and gamma a force (N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import RegimeError
 
@@ -32,34 +32,29 @@ AMU_SI = 1.660539067e-27  # kg
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Conversion constants between SI and internal dimensionless units."""
+    """Conversion constants between SI and internal dimensionless units,
+    all fixed by the ion mass and the initial quadratic coefficient."""
 
     mass_SI: float  # kg
     alpha0_SI: float  # N/m, negative (double-well quadratic coefficient)
-    omega_ref: float  # rad/s
-    length_unit: float  # m
-    energy_unit: float  # J
-    time_unit: float  # s
-    force_unit: float  # N
+    omega_ref: float = field(init=False)  # rad/s
+    length_unit: float = field(init=False)  # m
+    energy_unit: float = field(init=False)  # J
+    time_unit: float = field(init=False)  # s
+    force_unit: float = field(init=False)  # N
 
-    @classmethod
-    def from_trap(cls, mass_SI: float, alpha0_SI: float) -> "UnitSystem":
-        if not (mass_SI > 0.0 and math.isfinite(mass_SI)):
+    def __post_init__(self):
+        if not (self.mass_SI > 0.0 and math.isfinite(self.mass_SI)):
             raise RegimeError("mass must be positive and finite")
-        if not (alpha0_SI < 0.0 and math.isfinite(alpha0_SI)):
+        if not (self.alpha0_SI < 0.0 and math.isfinite(self.alpha0_SI)):
             raise RegimeError("alpha0 must be negative and finite")
-        omega = 2.0 * math.sqrt(-alpha0_SI / mass_SI)
-        length = math.sqrt(HBAR_SI / (mass_SI * omega))
+        omega = 2.0 * math.sqrt(-self.alpha0_SI / self.mass_SI)
+        length = math.sqrt(HBAR_SI / (self.mass_SI * omega))
         energy = HBAR_SI * omega
-        return cls(
-            mass_SI=mass_SI,
-            alpha0_SI=alpha0_SI,
-            omega_ref=omega,
-            length_unit=length,
-            energy_unit=energy,
-            time_unit=1.0 / omega,
-            force_unit=energy / length,
-        )
+        for name, value in (("omega_ref", omega), ("length_unit", length),
+                            ("energy_unit", energy), ("time_unit", 1.0 / omega),
+                            ("force_unit", energy / length)):
+            object.__setattr__(self, name, value)
 
     # --- coefficient conversions (alpha, beta, gamma) <-> (A, B, C) ---
 
@@ -99,4 +94,4 @@ class UnitSystem:
 def beryllium_units() -> UnitSystem:
     """Unit system for a 9.012 u ion in the reference trap
     (alpha0 = -4.7 pN/m); omega_ref/2pi is then about 5.64 MHz."""
-    return UnitSystem.from_trap(mass_SI=9.012 * AMU_SI, alpha0_SI=-4.7e-12)
+    return UnitSystem(mass_SI=9.012 * AMU_SI, alpha0_SI=-4.7e-12)

@@ -169,6 +169,23 @@ def test_non_finite_durations_exit_2(tmp_path, capsys):
         assert err.startswith("usage error: ")
 
 
+def test_empty_tf_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an empty list is not "no list": it must not fall back to the default grid
+    def never(*args, **kwargs):
+        raise AssertionError("run_scan called")
+    monkeypatch.setattr(cli, "run_scan", never)
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[scan]\ntf =\n")
+    for argv in (["scan", "--tf", ""], ["scan", "--tf-range", ""],
+                 ["scan", "--tf", "", "--tf-range", "10:20:3"],
+                 ["--config", str(cfg), "scan"]):
+        out = str(tmp_path / "out.csv")
+        code, _, err = run(argv + ["--preset", "mini", "--method", "linear",
+                                   "--out", out], capsys)
+        assert code == 2, argv
+        assert err.startswith("usage error: ")
+
+
 # --- scan ---------------------------------------------------------------------
 
 def test_scan_writes_csv(tmp_path, capsys):
@@ -351,6 +368,22 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, _ = run(["--config", str(cfg), "scan", "--method", "linear",
                       "--tf", "10"], capsys)
     assert code == 0 and out_csv.exists()
+
+
+def test_config_supplies_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "design.ini"
+    from_cfg, from_flags = tmp_path / "cfg.txt", tmp_path / "flags.txt"
+    cfg.write_text("[design]\ntf = 120\nmethod = linear\nout = %s\n"
+                   % from_cfg)
+    code, _, err = run(["--config", str(cfg), "design"], capsys)
+    assert code == 0, err
+    code, _, _ = run(["design", "--tf", "120", "--method", "linear",
+                      "--out", str(from_flags)], capsys)
+    assert code == 0
+    assert from_cfg.read_bytes() == from_flags.read_bytes()
+    with pytest.raises(SystemExit) as exc:  # still required without it
+        cli.main(["design", "--out", str(from_flags)])
+    assert exc.value.code == 2
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ramp design: adiabaticity profiles, inversion, serialization."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -226,12 +227,16 @@ def test_schedule_validation(mini, faquad_profile):
     with pytest.raises(ScheduleError):
         tm.linear_schedule(path, 1e-200)
     # below about 1e-100 (FAQUAD) or 1e-105 (linear) the slopes are finite
-    # but the PCHIP coefficients overflow, so A_of_t would return NaN
+    # but the PCHIP coefficients overflow, so A_of_t would return NaN; above
+    # about 1e154 they overflow too.  The refusal carries no scipy warning.
     for make in (lambda t_f: tm.linear_schedule(path, t_f),
                  lambda t_f: tm.invert_profile(faquad_profile, path, t_f)):
-        with pytest.raises(ScheduleError):
-            make(1e-120)
-        sched = make(1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_f in (1e-120, 1e250):
+                with pytest.raises(ScheduleError):
+                    make(t_f)
+            sched = make(1e-100)
         assert np.all(np.isfinite(sched.A_of_t(np.linspace(0.0, 1e-100, 101))))
 
 
@@ -321,3 +326,10 @@ def test_from_text_rejects_garbage():
         for text in (line, good + line + "\n"):
             with pytest.raises(ScheduleError):
                 Schedule.from_text(text)
+    # path values that the path type refuses are unparseable text too
+    af = "Af = %.17g" % tm.mini_preset().path.Af
+    for bad in (good.replace(af, "Af = 0.4"),
+                good.replace("n_target = 2", "n_target = -1")):
+        assert bad != good
+        with pytest.raises(ScheduleError):
+            Schedule.from_text(bad)

@@ -27,7 +27,7 @@ def test_quadratic_coefficient_is_minus_one_quarter_for_any_trap():
     # frequency scales are built from alpha0 itself
     for mass_amu, alpha in [(9.012, -4.7e-12), (170.94, -1.0e-11),
                             (1.0, -3.3e-13)]:
-        u = UnitSystem.from_trap(mass_amu * AMU_SI, alpha)
+        u = UnitSystem(mass_amu * AMU_SI, alpha)
         assert_allclose(u.alpha_to_dim(alpha), -0.25, rtol=1e-13)
 
 
@@ -69,9 +69,9 @@ def test_to_dimensionless_matches_beryllium_preset_scale():
 
 def test_invalid_trap_parameters():
     with pytest.raises(RegimeError):
-        UnitSystem.from_trap(-1.0, -4.7e-12)
+        UnitSystem(-1.0, -4.7e-12)
     with pytest.raises(RegimeError):
-        UnitSystem.from_trap(9.012 * AMU_SI, 4.7e-12)  # alpha0 must be < 0
+        UnitSystem(9.012 * AMU_SI, 4.7e-12)  # alpha0 must be < 0
     u = tm.beryllium_units()
     with pytest.raises(RegimeError):
         u.to_dimensionless(float("nan"), 0.052, 0.0)
