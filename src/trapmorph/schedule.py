@@ -32,7 +32,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import FlatDirectionError, ScheduleError, TrapMorphError
+from .errors import FlatDirectionError, RegimeError, ScheduleError
 from .eigen import couplings, eigensolve, levels_needed
 from .grid import SpatialGrid
 from .potential import DeformationPath
@@ -295,7 +295,7 @@ class Schedule:
             c = None if meta.get("c", "none") == "none" else float(meta["c"])
             return cls(path=path, t_f=float(meta["t_f"]), times=np.array(ts),
                        A_values=np.array(As), method=meta.get("method", "?"), c=c)
-        except (KeyError, ValueError, TrapMorphError) as exc:
+        except (KeyError, ValueError, RegimeError) as exc:
             raise ScheduleError("unparseable schedule text: %s" % exc) from exc
 
 

@@ -333,3 +333,8 @@ def test_from_text_rejects_garbage():
         assert bad != good
         with pytest.raises(ScheduleError):
             Schedule.from_text(bad)
+    # readable samples that the schedule refuses keep the schedule's message
+    wrong_span = good.replace("# t_f = 10\n", "# t_f = 11\n")
+    assert wrong_span != good
+    with pytest.raises(ScheduleError, match="^sample times must span"):
+        Schedule.from_text(wrong_span)
