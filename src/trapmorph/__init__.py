@@ -14,8 +14,8 @@ from .potential import (DeformationPath, PotentialParams, WellGeometry,
 from .eigen import EigenSet, couplings, eigensolve, localization
 from .schedule import (AdiabaticityProfile, Schedule, build_profile,
                        invert_profile, linear_schedule)
-from .propagate import (Drive, PropagationReport, Wavefunction, fidelity,
-                        propagate, superposition_fidelity)
+from .propagate import (Drive, PropagationReport, StackReport, Wavefunction,
+                        fidelity, propagate, superposition_fidelity)
 from .cache import cached_profile
 from .scans import (Preset, ScanResult, ScanRow, beryllium_preset,
                     default_tf_grid, emit_csv, get_preset, mini_preset,
@@ -30,7 +30,8 @@ kernel_backend = "numpy"
 __all__ = [
     "AMU_SI", "AdiabaticityProfile", "DeformationPath", "Drive", "EigenSet",
     "HBAR_SI", "PotentialParams", "Preset", "PropagationReport",
-    "ScanResult", "ScanRow", "Schedule", "SpatialGrid", "TrapMorphError",
+    "ScanResult", "ScanRow", "Schedule", "SpatialGrid", "StackReport",
+    "TrapMorphError",
     "UnitSystem", "Wavefunction", "WellGeometry", "beryllium_preset",
     "beryllium_units", "bias_for_target", "build_profile", "cached_profile",
     "couplings", "default_tf_grid", "eigensolve",

@@ -5,7 +5,7 @@ Subcommands:
   eigen    - print eigenenergies and localization of a preset or inline trap
   design   - design a schedule, write its text serialization, print c
   scan     - fidelity-vs-duration scans (optionally superposition / demux),
-             CSV output streamed row by row
+             CSV rows written in ascending t_f once the scan's stack ends
   presets  - list the shipped presets
 
 Exit codes: 0 success, 1 runtime/model error or an output file that
@@ -146,6 +146,12 @@ def cmd_scan(args) -> int:
     if args.tf is not None and args.tf_range is not None:
         raise UsageError("give --tf or --tf-range, not both")
     if args.demux:
+        for flag, given in (("--out", args.out),
+                            ("--plot-script", args.plot_script),
+                            ("--superposition", args.superposition)):
+            if given:
+                raise UsageError("--demux prints its result and takes no %s"
+                                 % flag)
         if not args.tf or "," in args.tf:
             raise UsageError("--demux wants a single --tf value")
         tf = on_step_grid(_parse_duration(args.tf, preset), preset.dt)
@@ -243,7 +249,7 @@ def _build_parser():
     ps.add_argument("--demux", action="store_true",
                     help="forward/backward fidelity pair at a single --tf")
     ps.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; rows run serially")
+                    help="accepted for compatibility; rows run as one stack")
     ps.add_argument("--out", default=None, help="CSV path")
     ps.add_argument("--plot-script", default=None,
                     help="write a gnuplot command file referencing the CSV")

@@ -1,6 +1,7 @@
 """Phase kernels for the propagation hot loop.
 
-Both mutate the complex wavefunction in place and return None.
+Both mutate the complex wavefunction, or a (rows, n) stack of them, in
+place and return None.
 `apply_quartic_phase` takes the odd bias factor exp(-i dt C x) as a table
 and evaluates the even part of the potential phase, A x^2 + B x^4, as a
 real phase with cos/sin on the nodes `mirror_half` keeps; every other
@@ -30,9 +31,10 @@ def apply_quartic_phase(psi, u, e, odd, A, B, dt):
     """psi *= odd * exp(-i dt (A x^2 + B x^4)), elementwise in place.
 
     u = mirror_half(x^2) and e is complex scratch of the same length m;
-    node i >= m takes the even factor of node n - i.
+    node i >= m takes the even factor of node n - i.  For a (rows, n)
+    stack, odd is (rows, n), A and B are (rows, 1) and e is (rows, m).
     """
-    n, m = len(psi), len(u)
+    n, m = psi.shape[-1], len(u)
     phase = np.multiply(u, B)
     phase += A
     phase *= u
@@ -40,10 +42,11 @@ def apply_quartic_phase(psi, u, e, odd, A, B, dt):
     np.cos(phase, out=e.real)
     np.sin(phase, out=e.imag)
     np.multiply(psi, odd, out=psi)
-    np.multiply(psi[:m], e, out=psi[:m])
-    np.multiply(psi[m:], e[n - m:0:-1], out=psi[m:])
+    np.multiply(psi[..., :m], e, out=psi[..., :m])
+    np.multiply(psi[..., m:], e[..., n - m:0:-1], out=psi[..., m:])
 
 
 def apply_phase_table(psi, table):
-    """psi *= table, in place (precomputed unit-modulus factors)."""
+    """psi *= table, in place (precomputed unit-modulus factors, shared
+    by every row of a stack)."""
     np.multiply(psi, table, out=psi)

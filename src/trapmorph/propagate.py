@@ -8,13 +8,22 @@ with K the kinetic phase in momentum space and V the potential phase with
 coefficients sampled at the step midpoint (keeps second order for a
 time-dependent Hamiltonian).  Adjacent half-kinetic factors of consecutive
 steps are merged, so the loop costs two FFTs per step; when t_f is not a
-multiple of dt the same loop runs once more for a single step of the
-remainder, landing exactly on t_f.  Every step is unitary up to rounding,
-which the norm checkpoints verify rather than enforce.
+multiple of dt, one unmerged step of the remainder lands exactly on t_f.
+Every step is unitary up to rounding, which the norm checkpoints verify
+rather than enforce.
 
-The transforms are `scipy.fft` calls that overwrite the one state buffer
-the call owns.  The potential phase is split in two: the odd bias factor
-exp(-i h C x) is a table built once per segment, like the kinetic tables,
+One call steps a stack of states on one grid, each under its own drive,
+in lock-step as the rows of one (rows, n) array: the transforms run along
+the last axis, and a single state is the stack of one row.  Rows are
+sorted by step count, so the rows still stepping are always a prefix;
+the shortest retire as they finish, each taking its remainder step
+alone.  The midpoint coefficients are evaluated per block of at most
+CHECK_STRIDE steps, once per distinct drive, and the checks run per row:
+a row that fails one is retired with its error and the others go on.
+
+The transforms are `scipy.fft` calls that overwrite the state buffer the
+call owns.  The potential phase is split in two: the odd bias factor
+exp(-i h C x) is a table per row, built once like the kinetic tables,
 and the even part A x^2 + B x^4 is a real phase evaluated with cos/sin on
 one mirror half of a grid symmetric about 0 (`kernels.mirror_half`).
 
@@ -31,7 +40,8 @@ import numpy as np
 import scipy.fft
 
 from . import kernels
-from .errors import ConfinementError, GridError, PropagationError
+from .errors import (ConfinementError, GridError, PropagationError,
+                     TrapMorphError)
 from .grid import SpatialGrid
 from .potential import PotentialParams
 from .schedule import Schedule
@@ -85,7 +95,20 @@ class PropagationReport:
     final_state: Wavefunction
     norm_drift: float
     steps: int
-    wall_s: float  # wall time of the propagate call
+    wall_s: float  # from the start of the propagate call to this state's end
+
+
+@dataclass(frozen=True, eq=False)
+class StackReport:
+    """What propagating a stack of states did.
+
+    rows: per state, in the order given, its PropagationReport or the
+    exception that retired it.  steps: the state-steps of the rows that
+    finished.  wall_s: wall time of the propagate call."""
+
+    rows: tuple
+    steps: int
+    wall_s: float
 
 
 def _trap_frequency(p: PotentialParams) -> float:
@@ -144,7 +167,32 @@ def _as_drive(obj) -> Drive:
     raise PropagationError("cannot interpret %r as a drive" % (obj,))
 
 
-def propagate(psi0: Wavefunction, drive, dt: float) -> PropagationReport:
+@dataclass(eq=False)
+class _Row:
+    """One state of a stack: its drive, whole steps m, remainder rem and
+    the largest norm drift its checks have seen."""
+
+    index: int
+    drive: Drive
+    m: int
+    rem: float
+    drift: float = 0.0
+
+    def check(self, grid: SpatialGrid, t: float, state) -> float:
+        """Norm of the state at t; fails on drift, edge mass and NaN."""
+        nrm = float(np.sum(np.abs(state) ** 2) * grid.dx)
+        err = abs(nrm - 1.0)
+        self.drift = max(self.drift, err)
+        if not err <= NORM_DRIFT_LIMIT:
+            raise PropagationError("norm drift %.3e at t = %.12g" % (err, t))
+        bm = grid.boundary_mass(state)
+        if not bm <= BOUNDARY_MASS_LIMIT:
+            raise ConfinementError("boundary mass %.3e at t = %.12g: "
+                                   "reflection, grid too small" % (bm, t))
+        return nrm
+
+
+def propagate(psi0, drive, dt: float):
     """Integrate psi0 from t = 0 to the drive's t_f.
 
     drive: a Schedule, or a Drive (`Drive.static(params, t_f)` holds a
@@ -156,83 +204,194 @@ def propagate(psi0: Wavefunction, drive, dt: float) -> PropagationReport:
     and ConfinementError when probability accumulates at the grid edge
     (reflection).  A dt outside (0, STEP_LIMIT / max(1, omega_max)],
     NaN included, raises PropagationError before any step.
-    """
-    start = time.perf_counter()
-    d = _as_drive(drive)
-    T = d.t_f
-    dt_max = STEP_LIMIT / max(1.0, d.omega_max)
-    if not 0.0 < dt <= dt_max:
-        raise PropagationError("dt = %g outside (0, %g] for omega_max = %g"
-                               % (dt, dt_max, d.omega_max))
 
-    grid = psi0.grid
+    Stacked form: psi0 a sequence of states on one grid and drive a
+    matching sequence of drives.  They step in lock-step and a
+    StackReport comes back: a row that fails any of the checks above is
+    retired with its error, and the other rows go on.
+    """
+    if not isinstance(psi0, Wavefunction):
+        return _propagate_stack(list(psi0), list(drive), dt)
+    [out] = _propagate_stack([psi0], [drive], dt).rows
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _remainder_step(psi, d: Drive, t0: float, h: float, x, u, k2):
+    """One unmerged Strang step of length h from t0, for one state."""
+    A, B = d.coeffs(np.array([t0 + 0.5 * h]))
+    kin_half = np.exp(-0.25j * h * k2)
+    psi = scipy.fft.fft(psi, overwrite_x=True)
+    kernels.apply_phase_table(psi, kin_half)
+    psi = scipy.fft.ifft(psi, overwrite_x=True)
+    kernels.apply_quartic_phase(psi, u, np.empty(len(u), dtype=complex),
+                                np.exp(-1j * h * d.C * x), A[0], B[0], h)
+    psi = scipy.fft.fft(psi, overwrite_x=True)
+    kernels.apply_phase_table(psi, kin_half)
+    return scipy.fft.ifft(psi, overwrite_x=True)
+
+
+def _block_coeffs(rows, s0: int, s1: int, dt: float):
+    """Midpoint coefficients of steps s0 <= j < s1 for every row, shaped
+    (s1 - s0, rows, 1), evaluated once per distinct drive and only up to
+    each drive's last whole step; and {slot: exception} for the rows
+    whose drive raised."""
+    A = np.empty((s1 - s0, len(rows), 1))
+    B = np.empty_like(A)
+    slots = {}
+    for slot, r in enumerate(rows):
+        slots.setdefault(id(r.drive), []).append(slot)
+    failed = {}
+    for group in slots.values():
+        r = rows[group[0]]
+        t_mid = (np.arange(s0, min(s1, r.m)) + 0.5) * dt
+        try:
+            a, b = r.drive.coeffs(t_mid)
+            A[:len(t_mid), group, 0] = a[:, None]
+            B[:len(t_mid), group, 0] = b[:, None]
+        except Exception as exc:  # retires this drive's rows, not the stack
+            failed.update(dict.fromkeys(group, exc))
+    return A, B, failed
+
+
+def _propagate_stack(states, drives, dt: float) -> StackReport:
+    start = time.perf_counter()
+    if len(states) != len(drives):
+        raise PropagationError("%d states but %d drives"
+                               % (len(states), len(drives)))
+    out = [None] * len(states)
+    if not states:
+        return StackReport((), 0, time.perf_counter() - start)
+    grid = states[0].grid
+    if any(s.grid != grid for s in states):
+        raise GridError("a stack's states must share one grid")
     x = grid.x
     u = kernels.mirror_half(x * x)
-    even = np.empty(len(u), dtype=complex)
     k2 = grid.wavenumbers**2
 
-    m = int(math.floor(T / dt + 1e-9))
-    rem = T - m * dt
-    if rem < 1e-12 * max(1.0, T):
-        rem = 0.0
-
-    drift = 0.0
-
-    def check(t, state):
-        # norm of the state at t; fails on drift, edge mass and NaN
-        nonlocal drift
-        nrm = float(np.sum(np.abs(state) ** 2) * grid.dx)
-        err = abs(nrm - 1.0)
-        drift = max(drift, err)
-        if not err <= NORM_DRIFT_LIMIT:
-            raise PropagationError("norm drift %.3e at t = %.12g" % (err, t))
-        bm = grid.boundary_mass(state)
-        if not bm <= BOUNDARY_MASS_LIMIT:
-            raise ConfinementError("boundary mass %.3e at t = %.12g: "
-                                   "reflection, grid too small" % (bm, t))
-        return nrm
-
-    psi = psi0.values.astype(complex)  # a copy: the transforms overwrite it
-    check(0.0, psi)
-
-    # m steps of dt, then one step of the remainder: a single merged step
-    # is exactly an unmerged Strang step
-    segments = [(dt, (np.arange(m) + 0.5) * dt)]
-    if rem > 0.0:
-        segments.append((rem, np.array([m * dt + 0.5 * rem])))
-    for h, t_mid in segments:
-        if len(t_mid) == 0:
+    converted = {}  # one Drive per distinct drive object
+    rows = []
+    for i, (psi0, obj) in enumerate(zip(states, drives)):
+        try:
+            if id(obj) not in converted:
+                converted[id(obj)] = _as_drive(obj)
+            d = converted[id(obj)]
+            dt_max = STEP_LIMIT / max(1.0, d.omega_max)
+            if not 0.0 < dt <= dt_max:
+                raise PropagationError("dt = %g outside (0, %g] for "
+                                       "omega_max = %g"
+                                       % (dt, dt_max, d.omega_max))
+            m = int(math.floor(d.t_f / dt + 1e-9))
+            rem = d.t_f - m * dt
+            if rem < 1e-12 * max(1.0, d.t_f):
+                rem = 0.0
+            row = _Row(i, d, m, rem)
+            row.check(grid, 0.0, psi0.values)
+        except Exception as exc:  # the row's report is its error
+            out[i] = exc
             continue
-        A_mid, B_mid = d.coeffs(t_mid)
-        kin_full = np.exp(-0.5j * h * k2)
-        kin_half = np.exp(-0.25j * h * k2)
-        odd = np.exp(-1j * h * d.C * x)
+        rows.append(row)
 
-        # psi alternates between position and momentum space in place
+    def finish(row, psi):
+        # psi: the row's state after its m whole steps, in position space;
+        # a single step of the remainder lands it on t_f
+        try:
+            if row.rem > 0.0:
+                psi = _remainder_step(psi, row.drive, row.m * dt, row.rem,
+                                      x, u, k2)
+            nrm = row.check(grid, row.drive.t_f, psi)
+            final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
+        except Exception as exc:  # the row's report is its error
+            out[row.index] = exc
+            return
+        out[row.index] = PropagationReport(
+            final_state=final, norm_drift=row.drift,
+            steps=row.m + (1 if row.rem > 0.0 else 0),
+            wall_s=time.perf_counter() - start)
+
+    # the active rows are always a prefix: the longest first
+    rows.sort(key=lambda r: -r.m)
+    psi = np.array([states[r.index].values for r in rows], dtype=complex)
+    k = sum(1 for r in rows if r.m > 0)
+    for r, state in zip(rows[k:], psi[k:]):
+        finish(r, state)
+    rows, psi = rows[:k], psi[:k]
+    odd = np.array([np.exp(-1j * dt * r.drive.C * x) for r in rows])
+    e = np.empty((k, len(u)), dtype=complex)
+
+    def drop(failed):
+        # retire the rows at these slots with their errors; the others
+        # keep their order, so the active rows stay a prefix
+        nonlocal rows, psi, odd
+        for slot, exc in failed.items():
+            out[rows[slot].index] = exc
+        keep = [s for s in range(len(rows)) if s not in failed]
+        rows = [rows[s] for s in keep]
+        psi, odd = psi[keep], odd[keep]
+        return keep
+
+    def phase_operands(A, B):
+        # the phase kernel's per-row operands, cut to the active rows; a
+        # one-row stack hands over its row, since numpy's 1-D loops cost
+        # less per call than the same work on a (1, n) array
+        k = len(rows)
+        if k == 1:
+            return True, e[0], odd[0], A[:, 0, 0], B[:, 0, 0]
+        return False, e[:k], odd, A[:, :k], B[:, :k]
+
+    # psi alternates between position and momentum space; every call
+    # takes the transform's result, which need not be its input buffer.
+    # The kinetic tables are one (1, n) row that every row shares, so a
+    # one-row stack multiplies two arrays of one shape, numpy's fast loop
+    if rows:
+        kin_full = np.exp(-0.5j * dt * k2)[None]
+        kin_half = np.exp(-0.25j * dt * k2)[None]
         psi = scipy.fft.fft(psi, overwrite_x=True)
         kernels.apply_phase_table(psi, kin_half)
-        last = len(t_mid) - 1
-        for j in range(len(t_mid)):
-            psi = scipy.fft.ifft(psi, overwrite_x=True)
-            kernels.apply_quartic_phase(psi, u, even, odd,
-                                        A_mid[j], B_mid[j], h)
-            psi = scipy.fft.fft(psi, overwrite_x=True)
-            if j == last:
-                kernels.apply_phase_table(psi, kin_half)
-                psi = scipy.fft.ifft(psi, overwrite_x=True)
+    s0 = 0
+    while rows:
+        s1 = min(s0 + CHECK_STRIDE, rows[0].m)
+        A, B, failed = _block_coeffs(rows, s0, s1, dt)
+        if failed:
+            keep = drop(failed)
+            A, B = A[:, keep], B[:, keep]
+            if not rows:
                 break
-            if (j + 1) % CHECK_STRIDE == 0:
-                # close the pending half-kinetic on a copy to check the
-                # true state at t = (j+1) h without breaking the merge
-                check((j + 1) * h,
-                      scipy.fft.ifft(psi * kin_half, overwrite_x=True))
+        end, (one, ek, oddk, Ak, Bk) = rows[-1].m, phase_operands(A, B)
+        for j in range(s0, s1):
+            psi = scipy.fft.ifft(psi, overwrite_x=True)
+            kernels.apply_quartic_phase(psi[0] if one else psi, u, ek, oddk,
+                                        Ak[j - s0], Bk[j - s0], dt)
+            psi = scipy.fft.fft(psi, overwrite_x=True)
+            if j + 1 == end:  # the shortest rows end here
+                k = sum(1 for r in rows if r.m > end)
+                tail = psi[k:]
+                kernels.apply_phase_table(tail, kin_half)
+                tail = scipy.fft.ifft(tail, overwrite_x=True)
+                for r, state in zip(rows[k:], tail):
+                    finish(r, state)
+                rows, psi, odd = rows[:k], psi[:k], odd[:k]
+                if not rows:
+                    break
+                end, (one, ek, oddk, Ak, Bk) = rows[-1].m, phase_operands(A, B)
+            if j + 1 == s1:
+                # checkpoint of the rows that go on: close the pending
+                # half-kinetic on a copy, without breaking the merge
+                probe = scipy.fft.ifft(psi * kin_half, overwrite_x=True)
+                failed = {}
+                for slot, (r, state) in enumerate(zip(rows, probe)):
+                    try:
+                        r.check(grid, (j + 1) * dt, state)
+                    except TrapMorphError as exc:
+                        failed[slot] = exc
+                if failed:
+                    drop(failed)
             kernels.apply_phase_table(psi, kin_full)
+        s0 = s1
 
-    nrm = check(T, psi)
-    final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
-    steps = m + (1 if rem > 0.0 else 0)
-    return PropagationReport(final_state=final, norm_drift=drift,
-                             steps=steps, wall_s=time.perf_counter() - start)
+    steps = sum(r.steps for r in out if isinstance(r, PropagationReport))
+    return StackReport(tuple(out), steps, time.perf_counter() - start)
 
 
 def fidelity(psi: Wavefunction, target: Wavefunction) -> float:

@@ -136,12 +136,17 @@ def default_tf_grid(preset: Preset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One duration of a scan.  steps and norm_drift: the state-steps its
+    propagations took and the largest norm drift they saw."""
+
     t_f: float
     F_n: float = math.nan
     F_0: float = math.nan
     F_avg: float = math.nan
     c: float = math.nan
     error: Optional[str] = None
+    steps: int = 0
+    norm_drift: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -186,12 +191,16 @@ def schedule_factory(preset: Preset, method: str,
 
 
 def _final_fidelities(jobs, dt: float) -> list:
-    """For each ((psi0, target), schedule) job, in order: propagate psi0
-    under the schedule and score it against target.
+    """For each ((psi0, target), schedule) job, in order: (F, report) for
+    psi0 propagated under the schedule and scored against target, or the
+    exception that ended that propagation.
 
-    Every propagation of an experiment goes through here."""
-    return [fidelity(propagate(psi0, sched, dt).final_state, target)
-            for (psi0, target), sched in jobs]
+    Every propagation of an experiment goes through here, as one stack."""
+    stack = propagate([psi0 for (psi0, _), _ in jobs],
+                      [sched for _, sched in jobs], dt)
+    return [rep if isinstance(rep, Exception)
+            else (fidelity(rep.final_state, target), rep)
+            for rep, ((_, target), _) in zip(stack.rows, jobs)]
 
 
 def _checked_durations(t_f_list: Sequence[float]) -> list:
@@ -210,33 +219,60 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
     """Fidelity of the target state vs duration.
 
     include_ground=True also propagates |0> under the same schedule and
-    records F_0 and the superposition fidelity (F_0 + F_n)/2.  Rows run
-    one after another in ascending t_f order.  A row that raises is
-    recorded as failed (trapmorph errors by message, anything else as
-    "<Type>: <message>") and the scan continues.
+    records F_0 and the superposition fidelity (F_0 + F_n)/2.  Every
+    state of every row steps in lock-step as one stack; `progress` sees
+    each row once, in ascending t_f, when the stack has finished.  A row
+    that fails is recorded as failed (trapmorph errors by message,
+    anything else as "<Type>: <message>") and the scan continues.
     """
     tfs = _checked_durations(t_f_list)
     make_schedule = schedule_factory(preset, method, cache_dir)
     levels = (preset.n_target, 0) if include_ground else (preset.n_target,)
     pairs = _endpoint_pairs(preset, levels)
-    rows = []
+    scheds = []
     for tf in tfs:
         try:
-            sched = make_schedule(tf)
-            Fs = _final_fidelities([(pair, sched) for pair in pairs], preset.dt)
-            row = ScanRow(t_f=tf, F_n=Fs[0],
-                          c=math.nan if sched.c is None else sched.c)
-            if include_ground:
-                row = replace(row, F_0=Fs[1],
-                              F_avg=superposition_fidelity(Fs[1], Fs[0]))
-        except TrapMorphError as exc:
-            row = ScanRow(t_f=tf, error=str(exc))
+            scheds.append(make_schedule(tf))
         except Exception as exc:  # one bad row must not end the scan
-            row = ScanRow(t_f=tf, error="%s: %s" % (type(exc).__name__, exc))
+            scheds.append(exc)
+    jobs = [(pair, sched) for sched in scheds
+            if not isinstance(sched, Exception) for pair in pairs]
+    try:
+        outcomes = iter(_final_fidelities(jobs, preset.dt))
+    except Exception as exc:  # fails every row the stack carried
+        outcomes = iter([exc] * len(jobs))
+    rows = []
+    for tf, sched in zip(tfs, scheds):
+        outs = ([] if isinstance(sched, Exception)
+                else [next(outcomes) for _ in pairs])
+        row = _scan_row(tf, sched, outs)
         if progress is not None:
             progress(row)
         rows.append(row)
     return ScanResult(preset, method, tuple(rows))
+
+
+def _scan_row(tf: float, sched, outs) -> ScanRow:
+    """The row of one duration, from its schedule (or the exception that
+    building it raised) and its jobs' outcomes, |n> first, then |0> for a
+    superposition scan.  The first exception among them fails the row."""
+    try:
+        for out in [sched, *outs]:
+            if isinstance(out, Exception):
+                raise out
+        (F_n, _), *ground = outs
+        row = ScanRow(t_f=tf, F_n=F_n,
+                      c=math.nan if sched.c is None else sched.c,
+                      steps=sum(rep.steps for _, rep in outs),
+                      norm_drift=max(rep.norm_drift for _, rep in outs))
+        if ground:
+            [(F_0, _)] = ground
+            row = replace(row, F_0=F_0, F_avg=superposition_fidelity(F_0, F_n))
+        return row
+    except TrapMorphError as exc:
+        return ScanRow(t_f=tf, error=str(exc))
+    except Exception as exc:  # one bad row must not end the scan
+        return ScanRow(t_f=tf, error="%s: %s" % (type(exc).__name__, exc))
 
 
 def on_step_grid(t_f: float, dt: float) -> float:
@@ -254,8 +290,12 @@ def run_demultiplexing(preset: Preset, method: str, t_f: float,
     sched = schedule_factory(preset, method, cache_dir)(
         on_step_grid(t_f, preset.dt))
     [pair] = _endpoint_pairs(preset, [preset.n_target])
-    return tuple(_final_fidelities([(pair, sched),
-                                    (pair[::-1], sched.reversed())], preset.dt))
+    outs = _final_fidelities([(pair, sched), (pair[::-1], sched.reversed())],
+                             preset.dt)
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return tuple(F for F, _ in outs)
 
 
 CSV_HEADER = "t_f,F_n,F_0,F_avg,c"

@@ -271,6 +271,20 @@ def test_scan_demux_wants_single_tf(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--out", "x.csv"],
+                                  ["--plot-script", "x.gp"],
+                                  ["--superposition"]])
+def test_scan_demux_refuses_flags_it_ignores(tmp_path, monkeypatch, capsys,
+                                             flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["scan", "--preset", "mini", "--method", "linear",
+                          "--demux", "--tf", "15"] + flag, capsys)
+    assert code == 2 and out == ""
+    assert err == ("usage error: --demux prints its result and takes no %s\n"
+                   % flag[0])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_superposition_columns(tmp_path, capsys):
     out_csv = str(tmp_path / "s.csv")
     code, _, _ = run(["scan", "--preset", "mini", "--method", "linear",

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
@@ -181,6 +183,112 @@ def test_kicked_packet_reaches_the_edge(grid, monkeypatch, t_f, stride,
         grid, np.exp(-0.5 * grid.x**2 + 5j * grid.x))
     with pytest.raises(ConfinementError, match="at t = %s:" % where):
         tm.propagate(kick, tm.Drive.static(FLAT, t_f), dt=0.01)
+
+
+# --- a stack of states in lock-step against one-row calls ------------------
+
+def _assert_rows_match(stack, states, drives, dt):
+    # every row of the stack against a one-row propagate of its job:
+    # the same error, or states (and so fidelities) within 1e-12
+    assert len(stack.rows) == len(states)
+    finished = 0
+    for got, psi0, drive in zip(stack.rows, states, drives):
+        try:
+            alone = tm.propagate(psi0, drive, dt)
+        except tm.TrapMorphError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert isinstance(got, tm.PropagationReport)
+        assert got.steps == alone.steps
+        assert got.norm_drift == pytest.approx(alone.norm_drift, abs=1e-14)
+        assert np.max(np.abs(got.final_state.values
+                             - alone.final_state.values)) <= 1e-12
+        assert abs(tm.fidelity(got.final_state, psi0)
+                   - tm.fidelity(alone.final_state, psi0)) <= 1e-12
+        finished += got.steps
+    assert stack.steps == finished
+    assert 0.0 < stack.wall_s < float("inf")
+
+
+def test_stack_matches_one_row_calls(mini, mini_eigs, faquad_profile,
+                                     monkeypatch):
+    # rows of different lengths, off-grid durations that end on a partial
+    # step, checkpoints crossed (every 40 steps here) and a forward plus
+    # reversed pair, in one stack
+    monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
+                        40)
+    eig0, eigf = mini_eigs
+    up = [tm.Wavefunction.from_eigenstate(eig0, j) for j in (2, 0)]
+    down = tm.Wavefunction.from_eigenstate(eigf, 2)
+    fwd = tm.invert_profile(faquad_profile, mini.path, 1.5)
+    states, drives = [], []
+    for t_f in (0.5, 1.2345, 0.0021, 1.0):
+        sched = tm.linear_schedule(mini.path, t_f)
+        states += up
+        drives += [sched, sched]
+    states += [up[0], down]
+    drives += [fwd, fwd.reversed()]
+    stack = tm.propagate(states, drives, mini.dt)
+    assert [r.steps for r in stack.rows[:8]] == [100, 100, 247, 247,
+                                                 1, 1, 200, 200]
+    _assert_rows_match(stack, states, drives, mini.dt)
+
+
+def test_stack_retires_a_failing_middle_row(harmonic_eig, monkeypatch):
+    # the middle row's trap turns NaN at t = 0.5: the checkpoint at step 60
+    # retires it with the error its one-row run raises, and the rows on
+    # either side, one longer and one shorter, run on
+    monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
+                        10)
+    psi = [tm.Wavefunction.from_eigenstate(harmonic_eig, j) for j in range(3)]
+    nan_drive = tm.Drive(lambda t: np.where(t < 0.5, 0.5, np.nan),
+                         lambda A: np.zeros_like(A), 0.0, 1.0, 1.0)
+    drives = [tm.Drive.static(HARMONIC, 1.5), nan_drive,
+              tm.Drive.static(HARMONIC, 0.7)]
+    stack = tm.propagate(psi, drives, 0.01)
+    assert isinstance(stack.rows[1], PropagationError)
+    assert str(stack.rows[1]) == "norm drift nan at t = 0.6"
+    assert stack.steps == 150 + 70
+    _assert_rows_match(stack, psi, drives, 0.01)
+
+
+def test_stack_rejects_mismatched_inputs(grid, harmonic_eig):
+    psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
+    other = tm.SpatialGrid(-10.0, 10.0, 256)
+    far = tm.Wavefunction.normalized(other, np.exp(-0.5 * other.x**2))
+    drive = tm.Drive.static(HARMONIC, 1.0)
+    with pytest.raises(GridError):
+        tm.propagate([psi, far], [drive, drive], 0.01)
+    with pytest.raises(PropagationError):
+        tm.propagate([psi, psi], [drive], 0.01)
+    empty = tm.propagate([], [], 0.01)
+    assert empty.rows == () and empty.steps == 0
+    # a row that fails before its first step is retired alone
+    stack = tm.propagate([psi, psi], [drive, tm.Drive.static(HARMONIC, 1.0)],
+                         0.3)
+    assert all(isinstance(r, PropagationError) for r in stack.rows)
+    stack = tm.propagate([psi, psi], [HARMONIC, drive], 0.01)
+    assert isinstance(stack.rows[0], PropagationError)
+    assert stack.rows[1].steps == 100
+
+
+@settings(max_examples=20, deadline=None)
+@given(t_fs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+       stride=st.integers(5, 80))
+def test_stack_property(mini, mini_eigs, t_fs, stride):
+    # any set of durations, each row |2> and |0> under its linear ramp,
+    # with checkpoints every `stride` steps
+    eig0, _ = mini_eigs
+    up = [tm.Wavefunction.from_eigenstate(eig0, j) for j in (2, 0)]
+    states, drives = [], []
+    for t_f in t_fs:
+        sched = tm.linear_schedule(mini.path, t_f)
+        states += up
+        drives += [sched, sched]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE", stride)
+        stack = tm.propagate(states, drives, mini.dt)
+        _assert_rows_match(stack, states, drives, mini.dt)
 
 
 def test_schedule_convergence_in_dt(mini, mini_eigs, faquad_profile):

@@ -130,24 +130,48 @@ def test_demux_rejects_the_durations_a_scan_rejects(mini, t_f):
     assert str(demux_error.value) == str(scan_error.value)
 
 
-def test_scan_survives_row_failures(mini, monkeypatch):
-    real = scans.propagate
-    # a trapmorph error is recorded by its message; any other exception
-    # with its type as well, and the scan goes on in both cases
-    for exc, recorded in ((PropagationError, "synthetic failure"),
-                          (ZeroDivisionError,
-                           "ZeroDivisionError: synthetic failure")):
+def test_scan_survives_row_failures(mini, mini_eigs, monkeypatch):
+    # the t_f = 12 row fails inside the stack, then before it: a real
+    # propagation failure is recorded with the message that a one-row
+    # propagate of that job raises; any other exception with its type as
+    # well; and the other rows of the stack go on in both cases
+    real = scans.linear_schedule
 
-        def flaky(psi0, drive, dt, **kw):
-            if abs(drive.t_f - 12.0) < 1e-9:
-                raise exc("synthetic failure")
-            return real(psi0, drive, dt, **kw)
+    def nan_late(path, tf):
+        # the real ramp, whose coefficient turns NaN from t = 6 on
+        sched = real(path, tf)
+        return tm.Drive(lambda t: np.where(t < 6.0, sched.A_of_t(t), np.nan),
+                        path.beta, path.C, tf,
+                        tm.Drive.from_schedule(sched).omega_max)
 
-        monkeypatch.setattr(scans, "propagate", flaky)
+    psi0 = tm.Wavefunction.from_eigenstate(mini_eigs[0], mini.n_target)
+    with pytest.raises(PropagationError) as alone:
+        tm.propagate(psi0, nan_late(mini.path, 12.0), mini.dt)
+
+    def zero_division(path, tf):
+        raise ZeroDivisionError("synthetic failure")
+
+    for broken, recorded in ((nan_late, str(alone.value)),
+                             (zero_division,
+                              "ZeroDivisionError: synthetic failure")):
+        monkeypatch.setattr(
+            scans, "linear_schedule",
+            lambda path, tf: broken(path, tf) if tf == 12.0 else real(path, tf))
         res = tm.run_scan(mini, "linear", [10.0, 12.0, 15.0])
         assert [r.error is None for r in res.rows] == [True, False, True]
         assert res.rows[1].error == recorded
         assert res.best_row().t_f == 15.0
+
+
+def test_scan_rows_report_their_work(linear_scan, faquad_scan, tf_grid, mini):
+    # a row's steps are the state-steps of its propagations: one state
+    # for F_n alone, two with the ground state; an off-grid t_f ends on
+    # a partial step
+    per_state = [math.ceil(t / mini.dt - 1e-9) for t in tf_grid]
+    assert [r.steps for r in linear_scan.rows] == per_state
+    assert [r.steps for r in faquad_scan.rows] == [2 * m for m in per_state]
+    for r in linear_scan.rows + faquad_scan.rows:
+        assert 0.0 <= r.norm_drift <= 1e-8
 
 
 def test_progress_callback_streams_rows(mini):
