@@ -192,7 +192,7 @@ class _Row:
         return nrm
 
 
-def propagate(psi0, drive, dt: float):
+def propagate(psi0, drive, dt: float, on_row=None):
     """Integrate psi0 from t = 0 to the drive's t_f.
 
     drive: a Schedule, or a Drive (`Drive.static(params, t_f)` holds a
@@ -208,11 +208,13 @@ def propagate(psi0, drive, dt: float):
     Stacked form: psi0 a sequence of states on one grid and drive a
     matching sequence of drives.  They step in lock-step and a
     StackReport comes back: a row that fails any of the checks above is
-    retired with its error, and the other rows go on.
+    retired with its error, and the other rows go on.  on_row(i, outcome),
+    if given, is called as row i settles, with what StackReport.rows will
+    hold for it; the shortest rows settle first.
     """
     if not isinstance(psi0, Wavefunction):
-        return _propagate_stack(list(psi0), list(drive), dt)
-    [out] = _propagate_stack([psi0], [drive], dt).rows
+        return _propagate_stack(list(psi0), list(drive), dt, on_row)
+    [out] = _propagate_stack([psi0], [drive], dt, on_row).rows
     if isinstance(out, Exception):
         raise out
     return out
@@ -255,12 +257,18 @@ def _block_coeffs(rows, s0: int, s1: int, dt: float):
     return A, B, failed
 
 
-def _propagate_stack(states, drives, dt: float) -> StackReport:
+def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     start = time.perf_counter()
     if len(states) != len(drives):
         raise PropagationError("%d states but %d drives"
                                % (len(states), len(drives)))
     out = [None] * len(states)
+
+    def settle(i, outcome):
+        out[i] = outcome
+        if on_row is not None:
+            on_row(i, outcome)
+
     if not states:
         return StackReport((), 0, time.perf_counter() - start)
     grid = states[0].grid
@@ -289,7 +297,7 @@ def _propagate_stack(states, drives, dt: float) -> StackReport:
             row = _Row(i, d, m, rem)
             row.check(grid, 0.0, psi0.values)
         except Exception as exc:  # the row's report is its error
-            out[i] = exc
+            settle(i, exc)
             continue
         rows.append(row)
 
@@ -303,12 +311,12 @@ def _propagate_stack(states, drives, dt: float) -> StackReport:
             nrm = row.check(grid, row.drive.t_f, psi)
             final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
         except Exception as exc:  # the row's report is its error
-            out[row.index] = exc
+            settle(row.index, exc)
             return
-        out[row.index] = PropagationReport(
+        settle(row.index, PropagationReport(
             final_state=final, norm_drift=row.drift,
             steps=row.m + (1 if row.rem > 0.0 else 0),
-            wall_s=time.perf_counter() - start)
+            wall_s=time.perf_counter() - start))
 
     # the active rows are always a prefix: the longest first
     rows.sort(key=lambda r: -r.m)
@@ -325,7 +333,7 @@ def _propagate_stack(states, drives, dt: float) -> StackReport:
         # keep their order, so the active rows stay a prefix
         nonlocal rows, psi, odd
         for slot, exc in failed.items():
-            out[rows[slot].index] = exc
+            settle(rows[slot].index, exc)
         keep = [s for s in range(len(rows)) if s not in failed]
         rows = [rows[s] for s in keep]
         psi, odd = psi[keep], odd[keep]

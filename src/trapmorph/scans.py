@@ -190,17 +190,25 @@ def schedule_factory(preset: Preset, method: str,
     raise UsageError("unknown method %r (have: %s)" % (method, ", ".join(METHODS)))
 
 
-def _final_fidelities(jobs, dt: float) -> list:
+def _final_fidelities(jobs, dt: float, on_job=None) -> list:
     """For each ((psi0, target), schedule) job, in order: (F, report) for
     psi0 propagated under the schedule and scored against target, or the
-    exception that ended that propagation.
+    exception that ended that propagation.  on_job(j, outcome), if given,
+    sees each job's outcome as soon as it is known.
 
     Every propagation of an experiment goes through here, as one stack."""
-    stack = propagate([psi0 for (psi0, _), _ in jobs],
-                      [sched for _, sched in jobs], dt)
-    return [rep if isinstance(rep, Exception)
-            else (fidelity(rep.final_state, target), rep)
-            for rep, ((_, target), _) in zip(stack.rows, jobs)]
+    outcomes = [None] * len(jobs)
+
+    def settle(j, rep):
+        target = jobs[j][0][1]
+        outcomes[j] = (rep if isinstance(rep, Exception)
+                       else (fidelity(rep.final_state, target), rep))
+        if on_job is not None:
+            on_job(j, outcomes[j])
+
+    propagate([psi0 for (psi0, _), _ in jobs],
+              [sched for _, sched in jobs], dt, on_row=settle)
+    return outcomes
 
 
 def _checked_durations(t_f_list: Sequence[float]) -> list:
@@ -220,10 +228,11 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
 
     include_ground=True also propagates |0> under the same schedule and
     records F_0 and the superposition fidelity (F_0 + F_n)/2.  Every
-    state of every row steps in lock-step as one stack; `progress` sees
-    each row once, in ascending t_f, when the stack has finished.  A row
-    that fails is recorded as failed (trapmorph errors by message,
-    anything else as "<Type>: <message>") and the scan continues.
+    state of every row steps in lock-step as one stack, and rows retire
+    from it shortest first: `progress` sees each row once, in ascending
+    t_f, as soon as that row and every shorter one are done.  A row that
+    fails is recorded as failed (trapmorph errors by message, anything
+    else as "<Type>: <message>") and the scan continues.
     """
     tfs = _checked_durations(t_f_list)
     make_schedule = schedule_factory(preset, method, cache_dir)
@@ -235,20 +244,40 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
             scheds.append(make_schedule(tf))
         except Exception as exc:  # one bad row must not end the scan
             scheds.append(exc)
-    jobs = [(pair, sched) for sched in scheds
-            if not isinstance(sched, Exception) for pair in pairs]
-    try:
-        outcomes = iter(_final_fidelities(jobs, preset.dt))
-    except Exception as exc:  # fails every row the stack carried
-        outcomes = iter([exc] * len(jobs))
+    # job j of the stack is state slots[j] = (row, pair) of a row that
+    # has a schedule
+    slots = [(i, k) for i, s in enumerate(scheds)
+             if not isinstance(s, Exception) for k in range(len(pairs))]
+    jobs = [(pairs[k], scheds[i]) for i, k in slots]
+    outs = [[] if isinstance(s, Exception) else [None] * len(pairs)
+            for s in scheds]
     rows = []
-    for tf, sched in zip(tfs, scheds):
-        outs = ([] if isinstance(sched, Exception)
-                else [next(outcomes) for _ in pairs])
-        row = _scan_row(tf, sched, outs)
-        if progress is not None:
-            progress(row)
-        rows.append(row)
+    reporting = False
+
+    def report_done():
+        nonlocal reporting
+        while len(rows) < len(tfs) and None not in outs[len(rows)]:
+            i = len(rows)
+            rows.append(_scan_row(tfs[i], scheds[i], outs[i]))
+            if progress is not None:
+                reporting = True
+                progress(rows[i])
+                reporting = False
+
+    def settle(j, outcome):
+        i, k = slots[j]
+        outs[i][k] = outcome
+        report_done()
+
+    report_done()
+    try:
+        _final_fidelities(jobs, preset.dt, settle)
+    except Exception as exc:  # fails every job the stack had not settled
+        if reporting:  # raised by progress: that ends the scan
+            raise
+        for j, (i, k) in enumerate(slots):
+            if outs[i][k] is None:
+                settle(j, exc)
     return ScanResult(preset, method, tuple(rows))
 
 

@@ -26,6 +26,9 @@ from __future__ import annotations
 
 import io
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
@@ -98,27 +101,58 @@ class AdiabaticityProfile:
 PROFILE_METHODS = ("faquad", "la")  # column order of _g_values
 
 
+def _g_pairs(path: DeformationPath, grid: SpatialGrid, n: int,
+             lam: np.ndarray) -> np.ndarray:
+    """(g_faquad, g_la) at each A in `lam`, one eigensolve per node.
+
+    g is the sum of weight / gap^2 over the neighbours, the weight being
+    the coupling for FAQUAD and 1 for LA, so one eigensolve gives both.
+    """
+    g = np.empty((len(lam), 2))
+    for i, a in enumerate(lam):
+        eig = eigensolve(path.params_at(a), grid, levels_needed(n),
+                         refine=False)
+        nc = couplings(eig, path, n)
+        gap2 = nc.gaps**2
+        g[i] = np.sum(nc.couplings / gap2), np.sum(1.0 / gap2)
+    return g
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
 def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
               lam: np.ndarray, store: dict) -> np.ndarray:
     """(g_faquad, g_la) at each A in `lam`, one row per node.
 
-    g is the sum of weight / gap^2 over the neighbours, the weight being
-    the coupling for FAQUAD and 1 for LA, so one eigensolve gives both.
     `store` maps each A already solved to its pair: a node found there is
-    not solved again, and each new one is added.
+    not solved again, and each new one is added.  The new nodes, in
+    ascending A, are cut into contiguous chunks, one per CPU, and each
+    chunk is solved by _g_pairs in a forked worker process; with one CPU,
+    one new node or no fork start method, _g_pairs solves them all here.
+    The nodes are independent, so the pairs are the same either way, and
+    a failure raises the error of the lowest failing new node.  Every
+    worker has been joined when this returns or raises.
     """
-    g = np.empty((len(lam), 2))
-    for i, a in enumerate(lam):
-        pair = store.get(a)
-        if pair is None:
-            eig = eigensolve(path.params_at(a), grid, levels_needed(n),
-                             refine=False)
-            nc = couplings(eig, path, n)
-            gap2 = nc.gaps**2
-            pair = store[a] = (float(np.sum(nc.couplings / gap2)),
-                               float(np.sum(1.0 / gap2)))
-        g[i] = pair
-    return g
+    new = np.unique([a for a in lam if a not in store])
+    workers = min(_cpus(), len(new))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # forked workers inherit the loaded modules: a pool starts in about
+        # 20 ms, where spawned ones would each import numpy and scipy again
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            chunks = [pool.submit(_g_pairs, path, grid, n, part)
+                      for part in np.array_split(new, workers)]
+            pairs = np.concatenate([chunk.result() for chunk in chunks])
+    else:
+        pairs = _g_pairs(path, grid, n, new)
+    store.update(zip(new.tolist(), map(tuple, pairs.tolist())))
+    return np.array([store[a] for a in lam])
 
 
 def profile_column(method: str) -> int:

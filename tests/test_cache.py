@@ -303,14 +303,16 @@ def test_cold_design_stores_both_methods_from_one_sweep(tmp_path, mini,
     cache.write_profile(buf, alone, path, grid, n)
     la_bytes = buf.getvalue()
 
+    # the nodes _g_values hands out to be solved, counted here: the
+    # solves themselves may run in worker processes
     solves = []
-    eigensolve = schedule.eigensolve
+    g_values = schedule._g_values
 
-    def counted(p, *args, **kwargs):
-        solves.append(p.A)
-        return eigensolve(p, *args, **kwargs)
+    def counted(path, grid, n, lam, store):
+        solves.extend(a for a in lam if a not in store)
+        return g_values(path, grid, n, lam, store)
 
-    monkeypatch.setattr(schedule, "eigensolve", counted)
+    monkeypatch.setattr(schedule, "_g_values", counted)
     cold = tmp_path / "cold"
     faquad = cache.cached_profile(path, grid, n, method="faquad",
                                   directory=str(cold))

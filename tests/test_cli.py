@@ -297,7 +297,7 @@ def test_scan_superposition_columns(tmp_path, capsys):
 
 
 def test_scan_with_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
-    def broken(psi0, drive, dt):
+    def broken(psi0, drive, dt, on_row=None):
         raise PropagationError("synthetic failure")
 
     monkeypatch.setattr(scans, "propagate", broken)

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph import scans
+from trapmorph import kernels, scans
 from trapmorph.errors import PropagationError, UsageError
 from trapmorph.scans import (ScanResult, ScanRow, csv_preamble, csv_row_line,
                              emit_plot_script, read_csv)
@@ -178,6 +178,25 @@ def test_progress_callback_streams_rows(mini):
     seen = []
     tm.run_scan(mini, "linear", [10.0, 12.0], progress=seen.append)
     assert [r.t_f for r in seen] == [10.0, 12.0]
+
+
+def test_progress_sees_a_row_while_longer_rows_still_step(mini, monkeypatch):
+    # count the stack's steps: the 1-unit row retires after 200 of the
+    # 600 steps that the 3-unit row takes
+    steps = []
+    quartic = kernels.apply_quartic_phase
+
+    def counted(*args):
+        steps.append(None)
+        return quartic(*args)
+
+    monkeypatch.setattr(kernels, "apply_quartic_phase", counted)
+    at_progress = []
+    result = tm.run_scan(mini, "linear", [3.0, 1.0],
+                         progress=lambda row: at_progress.append(
+                             (row.t_f, len(steps))))
+    assert at_progress == [(1.0, 200), (3.0, 600)] and len(steps) == 600
+    assert [r.t_f for r in result.rows] == [1.0, 3.0]
 
 
 def test_designing_once_equals_designing_per_duration(mini, mini_eigs,

@@ -1,6 +1,11 @@
 """Ramp design: adiabaticity profiles, inversion, serialization."""
 
+import multiprocessing
+import os
+import signal
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +16,8 @@ from numpy.testing import assert_allclose
 
 import trapmorph as tm
 from trapmorph import schedule
-from trapmorph.errors import FlatDirectionError, ScheduleError
+from trapmorph.errors import (ConfinementError, FlatDirectionError,
+                              ScheduleError)
 from trapmorph.schedule import (QUADRATURE_REFINE_TOL, AdiabaticityProfile,
                                 Schedule)
 
@@ -100,6 +106,109 @@ def test_fresh_profile_reports_its_build(mini, monkeypatch):
     assert np.array_equal(faquad.g, alone.g)
     for prof in (la, faquad, alone):
         assert prof.max_deviation <= QUADRATURE_REFINE_TOL
+
+
+@pytest.fixture()
+def pooled(mini, monkeypatch):
+    """Small builds (256-point grid, 128 start nodes) that solve their
+    nodes on 3 worker processes, whatever this machine has; returns the
+    grid and the list of pools opened."""
+    monkeypatch.setattr(schedule, "PROFILE_NODES_DEFAULT", 128)
+    monkeypatch.setattr(schedule, "_cpus", lambda: 3)
+    pools = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(schedule, "ProcessPoolExecutor", Counted)
+    return replace(mini.grid, n=256), pools
+
+
+def test_pooled_build_matches_in_process_solves(mini, pooled, monkeypatch):
+    grid, pools = pooled
+    store = {}
+    faquad = tm.build_profile(mini.path, grid, 2, method="faquad",
+                              store=store)
+    la = tm.build_profile(mini.path, grid, 2, method="la", store=store)
+    # a round opens one worker per CPU, or per new node if that is fewer
+    assert pools[0] == (3,) and all(1 < w <= 3 for w, in pools)
+    assert not multiprocessing.active_children()
+    # each column is what the per-node function gives here, bit for bit
+    for prof, column in ((faquad, 0), (la, 1)):
+        here = schedule._g_pairs(mini.path, grid, 2, prof.lambda_grid)
+        assert np.array_equal(prof.g, here[:, column])
+    # and the builds count the same eigensolves as in-process builds
+    monkeypatch.setattr(schedule, "_cpus", lambda: 1)
+    opened = len(pools)
+    serial = {}
+    counts = [tm.build_profile(mini.path, grid, 2, method=m,
+                               store=serial).evaluations
+              for m in ("faquad", "la")]
+    assert counts == [faquad.evaluations, la.evaluations]
+    assert faquad.evaluations == len(faquad.lambda_grid)
+    assert len(pools) == opened  # one CPU: no pool
+
+
+@pytest.mark.parametrize("error", [ConfinementError, KeyboardInterrupt])
+def test_pooled_build_raises_the_lowest_failing_node(mini, pooled,
+                                                     monkeypatch, error):
+    # every start node above the middle of the path fails: two of the
+    # three chunks hold failing nodes, each raising its own message
+    grid, pools = pooled
+    threshold = 0.5 * (mini.path.A0 + mini.path.Af)
+    eigensolve = schedule.eigensolve
+
+    def failing(p, *args, **kwargs):
+        if p.A > threshold:
+            raise error("no eigensolve at A=%r" % p.A)
+        return eigensolve(p, *args, **kwargs)
+
+    monkeypatch.setattr(schedule, "eigensolve", failing)
+    start = np.linspace(mini.path.A0, mini.path.Af, 128)
+    first = float(start[start > threshold][0])
+    raised = []
+    for cpus in (3, 1):  # pooled, then the in-process loop
+        monkeypatch.setattr(schedule, "_cpus", lambda: cpus)
+        with pytest.raises(error) as exc:
+            tm.build_profile(mini.path, grid, 2)
+        raised.append((type(exc.value), str(exc.value)))
+        assert not multiprocessing.active_children()
+    assert len(pools) == 1
+    assert raised == [(error, "no eigensolve at A=%r" % first)] * 2
+
+
+def test_interrupted_pooled_build_leaves_no_worker(mini, pooled,
+                                                   monkeypatch):
+    # the first node a worker solves interrupts this process, which is
+    # then waiting for the workers: they start work only once all exist
+    grid, pools = pooled
+    here = os.getpid()
+    eigensolve = schedule.eigensolve
+
+    def slow(p, *args, **kwargs):
+        if os.getpid() != here:
+            os.kill(here, signal.SIGUSR1)
+            time.sleep(0.01)
+        return eigensolve(p, *args, **kwargs)
+
+    interrupts = []
+
+    def interrupt(signum, frame):
+        if not interrupts:  # once: a second one would cut the clean-up
+            interrupts.append(signum)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(schedule, "eigensolve", slow)
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            tm.build_profile(mini.path, grid, 2)
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    assert interrupts and len(pools) == 1
+    assert not multiprocessing.active_children()
 
 
 def _peak_g(lam):
