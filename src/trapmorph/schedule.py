@@ -24,6 +24,7 @@ profile is computed once and inverted for each requested duration.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import multiprocessing
@@ -126,29 +127,79 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _this_cpu() -> Optional[int]:
+    """The CPU the calling thread runs on; None where that is not known."""
+    try:
+        with open("/proc/thread-self/stat") as fp:
+            # field 39, counting from the state that follows "(comm)"
+            return int(fp.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+@contextlib.contextmanager
+def _held_on_this_cpu():
+    """Keep the calling thread on the CPU it runs on until the block ends,
+    then give back its CPU mask; yields the other CPUs of the mask.
+
+    A thread that sleeps while other processes work is woken by them, and
+    the scheduler may move it to the CPU of the process that woke it.
+    Held, the caller runs the code after the block where it ran the code
+    before.  Where the mask or the CPU cannot be read or set, nothing is
+    held and None is yielded.
+    """
+    here = _this_cpu()
+    try:
+        mask = os.sched_getaffinity(0)
+        if here not in mask:
+            raise ValueError(here)
+        os.sched_setaffinity(0, {here})
+    except (AttributeError, OSError, ValueError):
+        yield None
+        return
+    try:
+        yield mask - {here}
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def _run_on(cpus) -> None:
+    """Worker initializer: move the worker onto `cpus`, if there are any
+    and it may; otherwise it stays where it was forked."""
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
 def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
               lam: np.ndarray, store: dict) -> np.ndarray:
     """(g_faquad, g_la) at each A in `lam`, one row per node.
 
     `store` maps each A already solved to its pair: a node found there is
     not solved again, and each new one is added.  The new nodes, in
-    ascending A, are cut into contiguous chunks, one per CPU, and each
-    chunk is solved by _g_pairs in a forked worker process; with one CPU,
-    one new node or no fork start method, _g_pairs solves them all here.
-    The nodes are independent, so the pairs are the same either way, and
-    a failure raises the error of the lowest failing new node.  Every
-    worker has been joined when this returns or raises.
+    ascending A, are cut into contiguous chunks, one per CPU.  This
+    process solves the first chunk with _g_pairs, held on the CPU it runs
+    on, and a forked worker process on the other CPUs solves each other
+    one; with one CPU, one new node or no fork start method, _g_pairs
+    solves them all here.  The nodes are independent, so the pairs are
+    the same either way, and a failure raises the error of the lowest
+    failing new node.  Every worker has been joined, and this thread's
+    CPU mask given back, when this returns or raises.
     """
     new = np.unique([a for a in lam if a not in store])
     workers = min(_cpus(), len(new))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked workers inherit the loaded modules: a pool starts in about
         # 20 ms, where spawned ones would each import numpy and scipy again
+        first, *rest = np.array_split(new, workers)
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        with _held_on_this_cpu() as others, ProcessPoolExecutor(
+                len(rest), mp_context=fork, initializer=_run_on,
+                initargs=(others,)) as pool:
             chunks = [pool.submit(_g_pairs, path, grid, n, part)
-                      for part in np.array_split(new, workers)]
-            pairs = np.concatenate([chunk.result() for chunk in chunks])
+                      for part in rest]
+            pairs = np.concatenate([_g_pairs(path, grid, n, first)]
+                                   + [chunk.result() for chunk in chunks])
     else:
         pairs = _g_pairs(path, grid, n, new)
     store.update(zip(new.tolist(), map(tuple, pairs.tolist())))

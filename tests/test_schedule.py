@@ -128,13 +128,16 @@ def pooled(mini, monkeypatch):
 
 def test_pooled_build_matches_in_process_solves(mini, pooled, monkeypatch):
     grid, pools = pooled
+    mask = os.sched_getaffinity(0)
     store = {}
     faquad = tm.build_profile(mini.path, grid, 2, method="faquad",
                               store=store)
     la = tm.build_profile(mini.path, grid, 2, method="la", store=store)
-    # a round opens one worker per CPU, or per new node if that is fewer
-    assert pools[0] == (3,) and all(1 < w <= 3 for w, in pools)
+    # a round solves one chunk here and opens one worker for each other
+    # CPU, or for each other new node if that is fewer
+    assert pools[0] == (2,) and all(1 <= w <= 2 for w, in pools)
     assert not multiprocessing.active_children()
+    assert os.sched_getaffinity(0) == mask
     # each column is what the per-node function gives here, bit for bit
     for prof, column in ((faquad, 0), (la, 1)):
         here = schedule._g_pairs(mini.path, grid, 2, prof.lambda_grid)
@@ -149,6 +152,38 @@ def test_pooled_build_matches_in_process_solves(mini, pooled, monkeypatch):
     assert counts == [faquad.evaluations, la.evaluations]
     assert faquad.evaluations == len(faquad.lambda_grid)
     assert len(pools) == opened  # one CPU: no pool
+
+
+@pytest.mark.skipif(schedule._this_cpu() is None,
+                    reason="the running CPU cannot be read here")
+def test_pooled_build_holds_this_thread_on_its_cpu(mini, pooled, monkeypatch,
+                                                   tmp_path):
+    # this thread solves its chunks held on one CPU of its mask; the
+    # workers run on the other CPUs (on a one-CPU machine, on that one)
+    grid, pools = pooled
+    here = os.getpid()
+    mask = os.sched_getaffinity(0)
+    eigensolve = schedule.eigensolve
+    seen = tmp_path / "masks"
+
+    def recorded(p, *args, **kwargs):
+        with open(seen, "a") as fp:
+            fp.write("%s %s\n" % ("main" if os.getpid() == here else "worker",
+                                   ",".join(map(str, os.sched_getaffinity(0)))))
+        return eigensolve(p, *args, **kwargs)
+
+    monkeypatch.setattr(schedule, "eigensolve", recorded)
+    tm.build_profile(mini.path, grid, 2)
+    masks = {"main": set(), "worker": set()}
+    for line in seen.read_text().splitlines():
+        who, cpus = line.split()
+        masks[who].add(frozenset(map(int, cpus.split(","))))
+    assert pools and masks["worker"]
+    assert all(len(m) == 1 and m <= mask for m in masks["main"])
+    held = set().union(*masks["main"])
+    for m in masks["worker"]:
+        assert m == mask if len(mask) == 1 else m in [mask - {c} for c in held]
+    assert os.sched_getaffinity(0) == mask
 
 
 @pytest.mark.parametrize("error", [ConfinementError, KeyboardInterrupt])
@@ -168,6 +203,7 @@ def test_pooled_build_raises_the_lowest_failing_node(mini, pooled,
     monkeypatch.setattr(schedule, "eigensolve", failing)
     start = np.linspace(mini.path.A0, mini.path.Af, 128)
     first = float(start[start > threshold][0])
+    mask = os.sched_getaffinity(0)
     raised = []
     for cpus in (3, 1):  # pooled, then the in-process loop
         monkeypatch.setattr(schedule, "_cpus", lambda: cpus)
@@ -175,6 +211,7 @@ def test_pooled_build_raises_the_lowest_failing_node(mini, pooled,
             tm.build_profile(mini.path, grid, 2)
         raised.append((type(exc.value), str(exc.value)))
         assert not multiprocessing.active_children()
+        assert os.sched_getaffinity(0) == mask
     assert len(pools) == 1
     assert raised == [(error, "no eigensolve at A=%r" % first)] * 2
 
@@ -182,7 +219,7 @@ def test_pooled_build_raises_the_lowest_failing_node(mini, pooled,
 def test_interrupted_pooled_build_leaves_no_worker(mini, pooled,
                                                    monkeypatch):
     # the first node a worker solves interrupts this process, which is
-    # then waiting for the workers: they start work only once all exist
+    # then solving its own chunk or waiting for the workers
     grid, pools = pooled
     here = os.getpid()
     eigensolve = schedule.eigensolve
@@ -201,6 +238,7 @@ def test_interrupted_pooled_build_leaves_no_worker(mini, pooled,
             raise KeyboardInterrupt
 
     monkeypatch.setattr(schedule, "eigensolve", slow)
+    mask = os.sched_getaffinity(0)
     previous = signal.signal(signal.SIGUSR1, interrupt)
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -209,6 +247,7 @@ def test_interrupted_pooled_build_leaves_no_worker(mini, pooled,
         signal.signal(signal.SIGUSR1, previous)
     assert interrupts and len(pools) == 1
     assert not multiprocessing.active_children()
+    assert os.sched_getaffinity(0) == mask
 
 
 def _peak_g(lam):
