@@ -217,6 +217,9 @@ def _build_parser():
                        help="preset name (see `presets list`)")
         p.add_argument("--n", type=int, default=None,
                        help="override the preset target level (n >= 1)")
+
+    def cached(p):  # the subcommands that design a schedule
+        common(p)
         p.add_argument("--cache-dir", default=None,
                        help="profile cache directory (default: "
                             "$TRAPMORPH_CACHE_DIR or ~/.cache/trapmorph)")
@@ -231,14 +234,14 @@ def _build_parser():
     pe.set_defaults(fn=cmd_eigen)
 
     pd = sub.add_parser("design", help="design and serialize a schedule")
-    common(pd)
+    cached(pd)
     pd.add_argument("--method", default="faquad", choices=METHODS)
     pd.add_argument("--tf", required=True, help="duration (SI suffix ok)")
     pd.add_argument("--out", default="schedule.txt")
     pd.set_defaults(fn=cmd_design)
 
     ps = sub.add_parser("scan", help="fidelity vs duration")
-    common(ps)
+    cached(ps)
     ps.add_argument("--method", default="faquad", choices=METHODS)
     ps.add_argument("--tf", default=None,
                     help="comma list of durations, or single value for --demux")

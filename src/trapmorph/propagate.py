@@ -6,25 +6,28 @@ Strang split-operator stepping on the FFT grid:
 
 with K the kinetic phase in momentum space and V the potential phase with
 coefficients sampled at the step midpoint (keeps second order for a
-time-dependent Hamiltonian).  Adjacent half-kinetic factors of consecutive
-steps are merged, so the loop costs two FFTs per step; when t_f is not a
-multiple of dt, one unmerged step of the remainder lands exactly on t_f.
-Every step is unitary up to rounding, which the norm checkpoints verify
-rather than enforce.
+time-dependent Hamiltonian).  `_strang` runs a block of steps from
+position space back to position space, merging the half-kinetic factors
+of adjacent steps inside the block, so a block of s steps costs 2s + 2
+transforms.  When t_f is not a multiple of dt, a one-step block of the
+remainder lands exactly on t_f.  Every step is unitary up to rounding,
+which the norm checkpoints verify rather than enforce.
 
 One call steps a stack of states on one grid, each under its own drive,
 in lock-step as the rows of one (rows, n) array: the transforms run along
 the last axis, and a single state is the stack of one row.  Rows are
-sorted by step count, so the rows still stepping are always a prefix;
-the shortest retire as they finish, each taking its remainder step
-alone.  The midpoint coefficients are evaluated per block of at most
-CHECK_STRIDE steps, once per distinct drive, and the checks run per row:
-a row that fails one is retired with its error and the others go on.
+sorted by step count, so the rows still stepping are always a prefix.  A
+block ends at the next checkpoint (every CHECK_STRIDE steps) or where the
+shortest row's whole steps end, whichever is first.  There, in position
+space, the rows that end take their remainder step, the others are
+checked if it is a checkpoint, and every row that failed is retired with
+its error while the others go on.  The midpoint coefficients are
+evaluated per block, once per distinct drive.
 
 The transforms are `scipy.fft` calls that overwrite the state buffer the
 call owns.  The potential phase is split in two: the odd bias factor
-exp(-i h C x) is a table per row, built once like the kinetic tables,
-and the even part A x^2 + B x^4 is a real phase evaluated with cos/sin on
+exp(-i h C x) is a table per row, built once per step length h, and
+the even part A x^2 + B x^4 is a real phase evaluated with cos/sin on
 one mirror half of a grid symmetric about 0 (`kernels.mirror_half`).
 
 Fidelity here is the modulus |<target|psi>| - not its square.
@@ -220,38 +223,45 @@ def propagate(psi0, drive, dt: float, on_row=None):
     return out
 
 
-def _remainder_step(psi, d: Drive, t0: float, h: float, x, u, k2):
-    """One unmerged Strang step of length h from t0, for one state."""
-    A, B = d.coeffs(np.array([t0 + 0.5 * h]))
+def _strang(psi, h: float, A, B, odd, u, k2):
+    """len(A) >= 1 Strang steps of length h, from position space back to
+    position space: the half kicks of adjacent steps are merged, so the
+    call costs two transforms per step and two more.
+
+    psi is one state (n,) or a stack (rows, n), and the call may overwrite
+    its buffer; step j's midpoint coefficients are A[j], B[j] (scalars, or
+    (rows, 1) for a stack) and odd is the bias factor exp(-i h C x) per
+    row.  Returns the last transform's result, which need not be psi."""
     kin_half = np.exp(-0.25j * h * k2)
+    kin_full = np.exp(-0.5j * h * k2)
+    e = np.empty(psi.shape[:-1] + u.shape, dtype=complex)
     psi = scipy.fft.fft(psi, overwrite_x=True)
     kernels.apply_phase_table(psi, kin_half)
-    psi = scipy.fft.ifft(psi, overwrite_x=True)
-    kernels.apply_quartic_phase(psi, u, np.empty(len(u), dtype=complex),
-                                np.exp(-1j * h * d.C * x), A[0], B[0], h)
-    psi = scipy.fft.fft(psi, overwrite_x=True)
-    kernels.apply_phase_table(psi, kin_half)
+    last = len(A) - 1
+    for j in range(len(A)):
+        psi = scipy.fft.ifft(psi, overwrite_x=True)
+        kernels.apply_quartic_phase(psi, u, e, odd, A[j], B[j], h)
+        psi = scipy.fft.fft(psi, overwrite_x=True)
+        kernels.apply_phase_table(psi, kin_half if j == last else kin_full)
     return scipy.fft.ifft(psi, overwrite_x=True)
 
 
 def _block_coeffs(rows, s0: int, s1: int, dt: float):
     """Midpoint coefficients of steps s0 <= j < s1 for every row, shaped
-    (s1 - s0, rows, 1), evaluated once per distinct drive and only up to
-    each drive's last whole step; and {slot: exception} for the rows
-    whose drive raised."""
-    A = np.empty((s1 - s0, len(rows), 1))
-    B = np.empty_like(A)
+    (s1 - s0, rows, 1) and evaluated once per distinct drive; and
+    {slot: exception} for the rows whose drive raised, which get zeros."""
+    A = np.zeros((s1 - s0, len(rows), 1))
+    B = np.zeros_like(A)
     slots = {}
     for slot, r in enumerate(rows):
         slots.setdefault(id(r.drive), []).append(slot)
     failed = {}
+    t_mid = (np.arange(s0, s1) + 0.5) * dt
     for group in slots.values():
-        r = rows[group[0]]
-        t_mid = (np.arange(s0, min(s1, r.m)) + 0.5) * dt
         try:
-            a, b = r.drive.coeffs(t_mid)
-            A[:len(t_mid), group, 0] = a[:, None]
-            B[:len(t_mid), group, 0] = b[:, None]
+            a, b = rows[group[0]].drive.coeffs(t_mid)
+            A[:, group, 0] = a[:, None]
+            B[:, group, 0] = b[:, None]
         except Exception as exc:  # retires this drive's rows, not the stack
             failed.update(dict.fromkeys(group, exc))
     return A, B, failed
@@ -306,8 +316,9 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
         # a single step of the remainder lands it on t_f
         try:
             if row.rem > 0.0:
-                psi = _remainder_step(psi, row.drive, row.m * dt, row.rem,
-                                      x, u, k2)
+                d, h = row.drive, row.rem
+                A, B = d.coeffs(np.array([row.m * dt + 0.5 * h]))
+                psi = _strang(psi, h, A, B, np.exp(-1j * h * d.C * x), u, k2)
             nrm = row.check(grid, row.drive.t_f, psi)
             final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
         except Exception as exc:  # the row's report is its error
@@ -321,81 +332,36 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     # the active rows are always a prefix: the longest first
     rows.sort(key=lambda r: -r.m)
     psi = np.array([states[r.index].values for r in rows], dtype=complex)
-    k = sum(1 for r in rows if r.m > 0)
-    for r, state in zip(rows[k:], psi[k:]):
-        finish(r, state)
-    rows, psi = rows[:k], psi[:k]
     odd = np.array([np.exp(-1j * dt * r.drive.C * x) for r in rows])
-    e = np.empty((k, len(u)), dtype=complex)
-
-    def drop(failed):
-        # retire the rows at these slots with their errors; the others
-        # keep their order, so the active rows stay a prefix
-        nonlocal rows, psi, odd
-        for slot, exc in failed.items():
-            settle(rows[slot].index, exc)
-        keep = [s for s in range(len(rows)) if s not in failed]
-        rows = [rows[s] for s in keep]
-        psi, odd = psi[keep], odd[keep]
-        return keep
-
-    def phase_operands(A, B):
-        # the phase kernel's per-row operands, cut to the active rows; a
-        # one-row stack hands over its row, since numpy's 1-D loops cost
-        # less per call than the same work on a (1, n) array
-        k = len(rows)
-        if k == 1:
-            return True, e[0], odd[0], A[:, 0, 0], B[:, 0, 0]
-        return False, e[:k], odd, A[:, :k], B[:, :k]
-
-    # psi alternates between position and momentum space; every call
-    # takes the transform's result, which need not be its input buffer.
-    # The kinetic tables are one (1, n) row that every row shares, so a
-    # one-row stack multiplies two arrays of one shape, numpy's fast loop
-    if rows:
-        kin_full = np.exp(-0.5j * dt * k2)[None]
-        kin_half = np.exp(-0.25j * dt * k2)[None]
-        psi = scipy.fft.fft(psi, overwrite_x=True)
-        kernels.apply_phase_table(psi, kin_half)
     s0 = 0
     while rows:
-        s1 = min(s0 + CHECK_STRIDE, rows[0].m)
+        # a block ends at the next checkpoint or where the shortest row's
+        # whole steps end, so no active row ends inside one
+        stop = (s0 // CHECK_STRIDE + 1) * CHECK_STRIDE
+        s1 = min(stop, rows[-1].m)
         A, B, failed = _block_coeffs(rows, s0, s1, dt)
-        if failed:
-            keep = drop(failed)
-            A, B = A[:, keep], B[:, keep]
-            if not rows:
-                break
-        end, (one, ek, oddk, Ak, Bk) = rows[-1].m, phase_operands(A, B)
-        for j in range(s0, s1):
-            psi = scipy.fft.ifft(psi, overwrite_x=True)
-            kernels.apply_quartic_phase(psi[0] if one else psi, u, ek, oddk,
-                                        Ak[j - s0], Bk[j - s0], dt)
-            psi = scipy.fft.fft(psi, overwrite_x=True)
-            if j + 1 == end:  # the shortest rows end here
-                k = sum(1 for r in rows if r.m > end)
-                tail = psi[k:]
-                kernels.apply_phase_table(tail, kin_half)
-                tail = scipy.fft.ifft(tail, overwrite_x=True)
-                for r, state in zip(rows[k:], tail):
-                    finish(r, state)
-                rows, psi, odd = rows[:k], psi[:k], odd[:k]
-                if not rows:
-                    break
-                end, (one, ek, oddk, Ak, Bk) = rows[-1].m, phase_operands(A, B)
-            if j + 1 == s1:
-                # checkpoint of the rows that go on: close the pending
-                # half-kinetic on a copy, without breaking the merge
-                probe = scipy.fft.ifft(psi * kin_half, overwrite_x=True)
-                failed = {}
-                for slot, (r, state) in enumerate(zip(rows, probe)):
-                    try:
-                        r.check(grid, (j + 1) * dt, state)
-                    except TrapMorphError as exc:
-                        failed[slot] = exc
-                if failed:
-                    drop(failed)
-            kernels.apply_phase_table(psi, kin_full)
+        if s1 > s0 and len(rows) == 1:
+            # numpy's 1-D loops cost less per call than (1, n) ones
+            psi = _strang(psi[0], dt, A[:, 0, 0], B[:, 0, 0], odd[0],
+                          u, k2)[None]
+        elif s1 > s0:
+            psi = _strang(psi, dt, A, B, odd, u, k2)
+        keep = []
+        for slot, (r, state) in enumerate(zip(rows, psi)):
+            if slot in failed:
+                settle(r.index, failed[slot])
+            elif r.m == s1:
+                finish(r, state)
+            elif s1 < stop:
+                keep.append(slot)
+            else:  # a checkpoint
+                try:
+                    r.check(grid, s1 * dt, state)
+                    keep.append(slot)
+                except TrapMorphError as exc:
+                    settle(r.index, exc)
+        rows = [rows[s] for s in keep]
+        psi, odd = psi[keep], odd[keep]
         s0 = s1
 
     steps = sum(r.steps for r in out if isinstance(r, PropagationReport))

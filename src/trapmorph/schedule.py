@@ -27,9 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
@@ -188,6 +186,9 @@ def _g_values(path: DeformationPath, grid: SpatialGrid, n: int,
     """
     new = np.unique([a for a in lam if a not in store])
     workers = min(_cpus(), len(new))
+    if workers > 1:  # only a process that may pool loads these
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked workers inherit the loaded modules: a pool starts in about
         # 20 ms, where spawned ones would each import numpy and scipy again

@@ -71,6 +71,10 @@ def test_eigen_bad_inputs(capsys):
     for k in ("0", "200"):
         code, _, err = run(["eigen", "--k", k], capsys)
         assert code == 2 and "usage error:" in err
+    # eigen reads no profile cache, so it takes no --cache-dir
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eigen", "--k", "2", "--cache-dir", "cache"])
+    assert exc.value.code == 2
     # unbounded potential is an input-domain error, not a crash
     assert run(["eigen", "--inline", "A=-0.5,B=0"], capsys)[0] == 1
 

@@ -211,10 +211,11 @@ def _assert_rows_match(stack, states, drives, dt):
 
 
 def test_stack_matches_one_row_calls(mini, mini_eigs, faquad_profile,
-                                     monkeypatch):
+                                     monkeypatch, perfbench_module):
     # rows of different lengths, off-grid durations that end on a partial
     # step, checkpoints crossed (every 40 steps here) and a forward plus
-    # reversed pair, in one stack
+    # reversed pair, in one stack; each row also against perfbench's
+    # unmerged textbook Strang stepper
     monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
                         40)
     eig0, eigf = mini_eigs
@@ -232,22 +233,39 @@ def test_stack_matches_one_row_calls(mini, mini_eigs, faquad_profile,
     assert [r.steps for r in stack.rows[:8]] == [100, 100, 247, 247,
                                                  1, 1, 200, 200]
     _assert_rows_match(stack, states, drives, mini.dt)
+    ref = perfbench_module("reference")
+    dx = mini.grid.dx
+    for got, psi0, sched in zip(stack.rows, states, drives):
+        psi_ref = ref.strang(psi0.values, mini.grid.x, sched.times,
+                             sched.A_values, mini.path, mini.dt, sched.t_f)
+        F = tm.fidelity(got.final_state, psi0)
+        assert abs(F - ref.overlap(psi0.values, psi_ref, dx)) <= 1e-10
+        assert 1.0 - ref.overlap(psi_ref, got.final_state.values, dx) <= 1e-10
 
 
 def test_stack_retires_a_failing_middle_row(harmonic_eig, monkeypatch):
     # the middle row's trap turns NaN at t = 0.5: the checkpoint at step 60
     # retires it with the error its one-row run raises, and the rows on
-    # either side, one longer and one shorter, run on
+    # either side, one longer and one shorter, run on; the last row's drive
+    # raises for the block of steps 30 to 40, which retires that row alone
     monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
                         10)
-    psi = [tm.Wavefunction.from_eigenstate(harmonic_eig, j) for j in range(3)]
+    psi = [tm.Wavefunction.from_eigenstate(harmonic_eig, j) for j in range(4)]
     nan_drive = tm.Drive(lambda t: np.where(t < 0.5, 0.5, np.nan),
                          lambda A: np.zeros_like(A), 0.0, 1.0, 1.0)
+
+    def ends_at_0_3(t):
+        if np.any(t > 0.3):
+            raise PropagationError("no trap after t = 0.3")
+        return np.full(np.shape(t), 0.5)
+
     drives = [tm.Drive.static(HARMONIC, 1.5), nan_drive,
-              tm.Drive.static(HARMONIC, 0.7)]
+              tm.Drive.static(HARMONIC, 0.7),
+              tm.Drive(ends_at_0_3, np.zeros_like, 0.0, 1.2, 1.0)]
     stack = tm.propagate(psi, drives, 0.01)
     assert isinstance(stack.rows[1], PropagationError)
     assert str(stack.rows[1]) == "norm drift nan at t = 0.6"
+    assert str(stack.rows[3]) == "no trap after t = 0.3"
     assert stack.steps == 150 + 70
     _assert_rows_match(stack, psi, drives, 0.01)
 
