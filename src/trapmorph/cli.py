@@ -5,7 +5,8 @@ Subcommands:
   eigen    - print eigenenergies and localization of a preset or inline trap
   design   - design a schedule, write its text serialization, print c
   scan     - fidelity-vs-duration scans (optionally superposition / demux),
-             CSV rows written in ascending t_f once the scan's stack ends
+             each CSV row written as soon as it and every shorter row
+             are done
   presets  - list the shipped presets
 
 Exit codes: 0 success, 1 runtime/model error or an output file that
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from .eigen import eigensolve, localization, max_levels
-from .errors import GridError, TrapMorphError, UsageError
+from .errors import GridError, RegimeError, TrapMorphError, UsageError
 from .grid import SpatialGrid
 from .potential import PotentialParams
 from .scans import (METHODS, PRESETS, csv_preamble, csv_row_line,
@@ -88,13 +89,18 @@ def _parse_inline(spec: str) -> PotentialParams:
         key = key.strip().upper()
         if key not in ("A", "B", "C") or not val:
             raise UsageError("--inline wants A=..,B=..[,C=..], got %r" % spec)
+        if key in vals:
+            raise UsageError("bad --inline %r: %s given twice" % (spec, key))
         try:
             vals[key] = float(val)
         except ValueError:
             raise UsageError("bad number in --inline: %r" % part) from None
     if "A" not in vals or "B" not in vals:
         raise UsageError("--inline needs at least A= and B=")
-    return PotentialParams(vals["A"], vals["B"], vals.get("C", 0.0))
+    try:
+        return PotentialParams(vals["A"], vals["B"], vals.get("C", 0.0))
+    except RegimeError as exc:
+        raise UsageError("bad --inline %r: %s" % (spec, exc)) from None
 
 
 def _parse_grid(spec: str) -> SpatialGrid:

@@ -22,7 +22,7 @@ shortest row's whole steps end, whichever is first.  There, in position
 space, the rows that end take their remainder step, the others are
 checked if it is a checkpoint, and every row that failed is retired with
 its error while the others go on.  The midpoint coefficients are
-evaluated per block, once per distinct drive.
+evaluated per block.
 
 The transforms are `scipy.fft` calls that overwrite the state buffer the
 call owns.  The potential phase is split in two: the odd bias factor
@@ -248,22 +248,17 @@ def _strang(psi, h: float, A, B, odd, u, k2):
 
 def _block_coeffs(rows, s0: int, s1: int, dt: float):
     """Midpoint coefficients of steps s0 <= j < s1 for every row, shaped
-    (s1 - s0, rows, 1) and evaluated once per distinct drive; and
-    {slot: exception} for the rows whose drive raised, which get zeros."""
+    (s1 - s0, rows, 1); and {slot: exception} for the rows whose drive
+    raised, which get zeros."""
     A = np.zeros((s1 - s0, len(rows), 1))
     B = np.zeros_like(A)
-    slots = {}
-    for slot, r in enumerate(rows):
-        slots.setdefault(id(r.drive), []).append(slot)
     failed = {}
     t_mid = (np.arange(s0, s1) + 0.5) * dt
-    for group in slots.values():
+    for slot, r in enumerate(rows):
         try:
-            a, b = rows[group[0]].drive.coeffs(t_mid)
-            A[:, group, 0] = a[:, None]
-            B[:, group, 0] = b[:, None]
-        except Exception as exc:  # retires this drive's rows, not the stack
-            failed.update(dict.fromkeys(group, exc))
+            A[:, slot, 0], B[:, slot, 0] = r.drive.coeffs(t_mid)
+        except Exception as exc:  # retires this row, not the stack
+            failed[slot] = exc
     return A, B, failed
 
 
@@ -288,13 +283,10 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     u = kernels.mirror_half(x * x)
     k2 = grid.wavenumbers**2
 
-    converted = {}  # one Drive per distinct drive object
     rows = []
     for i, (psi0, obj) in enumerate(zip(states, drives)):
         try:
-            if id(obj) not in converted:
-                converted[id(obj)] = _as_drive(obj)
-            d = converted[id(obj)]
+            d = _as_drive(obj)
             dt_max = STEP_LIMIT / max(1.0, d.omega_max)
             if not 0.0 < dt <= dt_max:
                 raise PropagationError("dt = %g outside (0, %g] for "

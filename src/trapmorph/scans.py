@@ -190,27 +190,6 @@ def schedule_factory(preset: Preset, method: str,
     raise UsageError("unknown method %r (have: %s)" % (method, ", ".join(METHODS)))
 
 
-def _final_fidelities(jobs, dt: float, on_job=None) -> list:
-    """For each ((psi0, target), schedule) job, in order: (F, report) for
-    psi0 propagated under the schedule and scored against target, or the
-    exception that ended that propagation.  on_job(j, outcome), if given,
-    sees each job's outcome as soon as it is known.
-
-    Every propagation of an experiment goes through here, as one stack."""
-    outcomes = [None] * len(jobs)
-
-    def settle(j, rep):
-        target = jobs[j][0][1]
-        outcomes[j] = (rep if isinstance(rep, Exception)
-                       else (fidelity(rep.final_state, target), rep))
-        if on_job is not None:
-            on_job(j, outcomes[j])
-
-    propagate([psi0 for (psi0, _), _ in jobs],
-              [sched for _, sched in jobs], dt, on_row=settle)
-    return outcomes
-
-
 def _checked_durations(t_f_list: Sequence[float]) -> list:
     """The durations in ascending order; UsageError unless there is at
     least one and every one is positive and finite."""
@@ -245,11 +224,10 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
         except Exception as exc:  # one bad row must not end the scan
             scheds.append(exc)
     # job j of the stack is state slots[j] = (row, pair) of a row that
-    # has a schedule
+    # has a schedule; a row without one starts failed with that error
     slots = [(i, k) for i, s in enumerate(scheds)
              if not isinstance(s, Exception) for k in range(len(pairs))]
-    jobs = [(pairs[k], scheds[i]) for i, k in slots]
-    outs = [[] if isinstance(s, Exception) else [None] * len(pairs)
+    outs = [[s] if isinstance(s, Exception) else [None] * len(pairs)
             for s in scheds]
     rows = []
     reporting = False
@@ -264,14 +242,17 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
                 progress(rows[i])
                 reporting = False
 
-    def settle(j, outcome):
+    def settle(j, rep):
+        # a job's outcome: (F, report) against its target, or its error
         i, k = slots[j]
-        outs[i][k] = outcome
+        outs[i][k] = (rep if isinstance(rep, Exception)
+                      else (fidelity(rep.final_state, pairs[k][1]), rep))
         report_done()
 
     report_done()
     try:
-        _final_fidelities(jobs, preset.dt, settle)
+        propagate([pairs[k][0] for _, k in slots],
+                  [scheds[i] for i, _ in slots], preset.dt, on_row=settle)
     except Exception as exc:  # fails every job the stack had not settled
         if reporting:  # raised by progress: that ends the scan
             raise
@@ -282,11 +263,11 @@ def run_scan(preset: Preset, method: str, t_f_list: Sequence[float],
 
 
 def _scan_row(tf: float, sched, outs) -> ScanRow:
-    """The row of one duration, from its schedule (or the exception that
-    building it raised) and its jobs' outcomes, |n> first, then |0> for a
-    superposition scan.  The first exception among them fails the row."""
+    """The row of one duration, from its jobs' outcomes, |n> first, then
+    |0> for a superposition scan, and c from its schedule.  The first
+    exception among the outcomes fails the row."""
     try:
-        for out in [sched, *outs]:
+        for out in outs:
             if isinstance(out, Exception):
                 raise out
         (F_n, _), *ground = outs
@@ -318,13 +299,13 @@ def run_demultiplexing(preset: Preset, method: str, t_f: float,
     [t_f] = _checked_durations([t_f])
     sched = schedule_factory(preset, method, cache_dir)(
         on_step_grid(t_f, preset.dt))
-    [pair] = _endpoint_pairs(preset, [preset.n_target])
-    outs = _final_fidelities([(pair, sched), (pair[::-1], sched.reversed())],
-                             preset.dt)
-    for out in outs:
-        if isinstance(out, Exception):
-            raise out
-    return tuple(F for F, _ in outs)
+    [(left, right)] = _endpoint_pairs(preset, [preset.n_target])
+    stack = propagate([left, right], [sched, sched.reversed()], preset.dt)
+    for rep in stack.rows:
+        if isinstance(rep, Exception):
+            raise rep
+    return tuple(fidelity(rep.final_state, target)
+                 for rep, target in zip(stack.rows, (right, left)))
 
 
 CSV_HEADER = "t_f,F_n,F_0,F_avg,c"

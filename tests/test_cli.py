@@ -60,9 +60,13 @@ def test_eigen_bad_inputs(capsys):
     assert run(["eigen", "--inline", "A=0.5,B=0", "--grid", "bogus"],
                capsys)[0] == 2
     # a grid that SpatialGrid refuses is a bad flag value too
-    for grid in ("20:-20:512", "-20:20:8", "-inf:20:512"):
+    for grid in ("20:-20:512", "-20:20:8", "-inf:20:512", "nan:20:512"):
         code, _, err = run(["eigen", "--grid=" + grid], capsys)
         assert code == 2 and err.startswith("usage error: bad --grid"), grid
+    # so is a trap that PotentialParams refuses, or a repeated key
+    for spec in ("A=nan,B=1", "A=1,B=-1", "A=1,A=2,B=0"):
+        code, _, err = run(["eigen", "--inline", spec], capsys)
+        assert code == 2 and err.startswith("usage error: bad --inline"), spec
     # presets are retargeted to n >= 1 only; --inline holds unbiased traps
     for n in ("0", "-1"):
         code, _, err = run(["eigen", "--n", n], capsys)

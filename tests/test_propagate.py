@@ -246,11 +246,13 @@ def test_stack_matches_one_row_calls(mini, mini_eigs, faquad_profile,
 def test_stack_retires_a_failing_middle_row(harmonic_eig, monkeypatch):
     # the middle row's trap turns NaN at t = 0.5: the checkpoint at step 60
     # retires it with the error its one-row run raises, and the rows on
-    # either side, one longer and one shorter, run on; the last row's drive
-    # raises for the block of steps 30 to 40, which retires that row alone
+    # either side, one longer and one shorter, run on; the last two rows
+    # share one drive object, which raises for the block of steps 30 to
+    # 40 and retires those two rows alone
     monkeypatch.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE",
                         10)
-    psi = [tm.Wavefunction.from_eigenstate(harmonic_eig, j) for j in range(4)]
+    psi = [tm.Wavefunction.from_eigenstate(harmonic_eig, j)
+           for j in (0, 1, 2, 3, 0)]
     nan_drive = tm.Drive(lambda t: np.where(t < 0.5, 0.5, np.nan),
                          lambda A: np.zeros_like(A), 0.0, 1.0, 1.0)
 
@@ -259,13 +261,13 @@ def test_stack_retires_a_failing_middle_row(harmonic_eig, monkeypatch):
             raise PropagationError("no trap after t = 0.3")
         return np.full(np.shape(t), 0.5)
 
+    shared = tm.Drive(ends_at_0_3, np.zeros_like, 0.0, 1.2, 1.0)
     drives = [tm.Drive.static(HARMONIC, 1.5), nan_drive,
-              tm.Drive.static(HARMONIC, 0.7),
-              tm.Drive(ends_at_0_3, np.zeros_like, 0.0, 1.2, 1.0)]
+              tm.Drive.static(HARMONIC, 0.7), shared, shared]
     stack = tm.propagate(psi, drives, 0.01)
     assert isinstance(stack.rows[1], PropagationError)
     assert str(stack.rows[1]) == "norm drift nan at t = 0.6"
-    assert str(stack.rows[3]) == "no trap after t = 0.3"
+    assert [str(r) for r in stack.rows[3:]] == ["no trap after t = 0.3"] * 2
     assert stack.steps == 150 + 70
     _assert_rows_match(stack, psi, drives, 0.01)
 

@@ -199,6 +199,33 @@ def test_progress_sees_a_row_while_longer_rows_still_step(mini, monkeypatch):
     assert [r.t_f for r in result.rows] == [1.0, 3.0]
 
 
+def test_errors_from_outside_a_row(mini, monkeypatch):
+    # an exception from progress ends the scan, and progress sees no
+    # more rows; one from the stack itself fails every row that it had
+    # not settled, with that exception's message
+    seen = []
+
+    def stop(row):
+        seen.append(row.t_f)
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        tm.run_scan(mini, "linear", [1.0, 2.0, 3.0], progress=stop)
+    assert seen == [1.0]
+
+    [alone] = tm.run_scan(mini, "linear", [1.0]).rows
+    real = scans.propagate
+
+    def settle_one_then_raise(states, drives, dt, on_row):
+        on_row(0, real(states[0], drives[0], dt))
+        raise RuntimeError("stack broke")
+
+    monkeypatch.setattr(scans, "propagate", settle_one_then_raise)
+    res = tm.run_scan(mini, "linear", [1.0, 2.0, 3.0])
+    assert res.rows[0].error is None and res.rows[0].F_n == alone.F_n
+    assert [r.error for r in res.rows[1:]] == ["RuntimeError: stack broke"] * 2
+
+
 def test_designing_once_equals_designing_per_duration(mini, mini_eigs,
                                                       faquad_profile):
     # rescaling a designed schedule to a new duration gives the same
