@@ -98,9 +98,14 @@ def _parse_inline(spec: str) -> PotentialParams:
     if "A" not in vals or "B" not in vals:
         raise UsageError("--inline needs at least A= and B=")
     try:
-        return PotentialParams(vals["A"], vals["B"], vals.get("C", 0.0))
+        params = PotentialParams(vals["A"], vals["B"], vals.get("C", 0.0))
     except RegimeError as exc:
         raise UsageError("bad --inline %r: %s" % (spec, exc)) from None
+    if params.B == 0.0 and params.A <= 0.0:
+        # no grid can hold a state of a potential unbounded from below
+        raise UsageError("bad --inline %r: B = 0 needs A > 0; this trap "
+                         "has no bound states" % spec)
+    return params
 
 
 def _parse_grid(spec: str) -> SpatialGrid:

@@ -1,13 +1,17 @@
 """Phase kernels for the propagation hot loop.
 
-Both mutate the complex wavefunction, or a (rows, n) stack of them, in
-place and return None.
-`apply_quartic_phase` takes the odd bias factor exp(-i dt C x) as a table
-and evaluates the even part of the potential phase, A x^2 + B x^4, as a
-real phase with cos/sin on the nodes `mirror_half` keeps; every other
-node reuses the factor of its mirror image.  That real phase is its one
-temporary per call; `apply_phase_table` allocates none.  `propagate`
-calls them through this module, so a profiler can wrap them by name.
+`quartic_factors` fills a buffer with the even part of the potential
+phase factor, exp(-i h (A x^2 + B x^4)), for a run of steps at once:
+cos/sin of a real phase on the nodes `mirror_half` keeps, the phase
+being its one temporary per call.  It reads no state, so `propagate`
+runs it on a helper thread, a chunk of steps ahead of the transforms.
+`apply_quartic_phase` and `apply_phase_table` mutate the complex
+wavefunction, or a (rows, n) stack of them, in place, allocate nothing
+and return None: the first multiplies in the odd bias factor
+exp(-i h C x) from a table and then one step's even factors, every node
+past the mirror half reusing the factor of its mirror image.
+`propagate` calls them through this module, so a profiler can wrap
+them by name.
 """
 
 import numpy as np
@@ -27,20 +31,28 @@ def mirror_half(x2):
     return x2[:m]
 
 
-def apply_quartic_phase(psi, u, e, odd, A, B, dt):
-    """psi *= odd * exp(-i dt (A x^2 + B x^4)), elementwise in place.
+def quartic_factors(out, u, A, B, h):
+    """out = exp(-i h (A u + B u^2) u), elementwise, u = mirror_half(x^2).
 
-    u = mirror_half(x^2) and e is complex scratch of the same length m;
-    node i >= m takes the even factor of node n - i.  For a (rows, n)
-    stack, odd is (rows, n), A and B are (rows, 1) and e is (rows, m).
+    A and B broadcast against u to out's shape: (steps, 1) for one
+    state, or (steps, rows, 1) for a stack with out (steps, rows, m).
     """
-    n, m = psi.shape[-1], len(u)
     phase = np.multiply(u, B)
     phase += A
     phase *= u
-    phase *= -dt
-    np.cos(phase, out=e.real)
-    np.sin(phase, out=e.imag)
+    phase *= -h
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+
+
+def apply_quartic_phase(psi, u, e, odd):
+    """psi *= odd * e, elementwise in place.
+
+    e holds one step's `quartic_factors` on the m = len(u) nodes
+    `mirror_half` keeps; node i >= m takes the factor of node n - i.  For
+    a (rows, n) stack, odd is (rows, n) and e is (rows, m).
+    """
+    n, m = psi.shape[-1], len(u)
     np.multiply(psi, odd, out=psi)
     np.multiply(psi[..., :m], e, out=psi[..., :m])
     np.multiply(psi[..., m:], e[..., n - m:0:-1], out=psi[..., m:])

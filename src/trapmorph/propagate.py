@@ -27,8 +27,15 @@ evaluated per block.
 The transforms are `scipy.fft` calls that overwrite the state buffer the
 call owns.  The potential phase is split in two: the odd bias factor
 exp(-i h C x) is a table per row, built once per step length h, and
-the even part A x^2 + B x^4 is a real phase evaluated with cos/sin on
+the even factor exp(-i h (A x^2 + B x^4)) is evaluated with cos/sin on
 one mirror half of a grid symmetric about 0 (`kernels.mirror_half`).
+The even factors depend only on the block's midpoint coefficients, not
+on the state, so one helper thread, open for the length of the call,
+computes them a chunk of about FACTOR_CHUNK_BYTES ahead, into one of
+two buffers, while the calling thread runs the transforms and the
+products of the chunk before.  numpy's cos/sin and the transforms
+release the GIL, so the two overlap; the products, and so the states,
+are the same bit for bit as with the factors computed in the step loop.
 
 Fidelity here is the modulus |<target|psi>| - not its square.
 """
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +64,7 @@ STEP_LIMIT = 0.25
 NORM_DRIFT_LIMIT = 1e-8
 BOUNDARY_MASS_LIMIT = 1e-6
 CHECK_STRIDE = 5000  # steps between norm/boundary checkpoints
+FACTOR_CHUNK_BYTES = 1 << 20  # even phase factors computed per helper call
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +232,7 @@ def propagate(psi0, drive, dt: float, on_row=None):
     return out
 
 
-def _strang(psi, h: float, A, B, odd, u, k2):
+def _strang(psi, h: float, A, B, odd, u, k2, pool, bufs):
     """len(A) >= 1 Strang steps of length h, from position space back to
     position space: the half kicks of adjacent steps are merged, so the
     call costs two transforms per step and two more.
@@ -231,18 +240,39 @@ def _strang(psi, h: float, A, B, odd, u, k2):
     psi is one state (n,) or a stack (rows, n), and the call may overwrite
     its buffer; step j's midpoint coefficients are A[j], B[j] (scalars, or
     (rows, 1) for a stack) and odd is the bias factor exp(-i h C x) per
-    row.  Returns the last transform's result, which need not be psi."""
+    row.  The even factors of a chunk of steps are computed on pool's
+    thread into one of the two rows of bufs while the steps of the chunk
+    before run here.  Returns the last transform's result, which
+    need not be psi."""
     kin_half = np.exp(-0.25j * h * k2)
     kin_full = np.exp(-0.5j * h * k2)
-    e = np.empty(psi.shape[:-1] + u.shape, dtype=complex)
+    shape = psi.shape[:-1] + u.shape  # one step's even factors
+    A = np.reshape(A, (len(A),) + psi.shape[:-1] + (1,))
+    B = np.reshape(B, A.shape)
+    size = math.prod(shape)
+    per = len(bufs[0]) // size
+    chunks = [(j, min(j + per, len(A))) for j in range(0, len(A), per)]
+
+    def submit(c):
+        j0, j1 = chunks[c]
+        e = bufs[c % 2][:(j1 - j0) * size].reshape((j1 - j0,) + shape)
+        return e, pool.submit(kernels.quartic_factors, e, u, A[j0:j1],
+                              B[j0:j1], h)
+
+    pending = submit(0)
     psi = scipy.fft.fft(psi, overwrite_x=True)
     kernels.apply_phase_table(psi, kin_half)
     last = len(A) - 1
-    for j in range(len(A)):
-        psi = scipy.fft.ifft(psi, overwrite_x=True)
-        kernels.apply_quartic_phase(psi, u, e, odd, A[j], B[j], h)
-        psi = scipy.fft.fft(psi, overwrite_x=True)
-        kernels.apply_phase_table(psi, kin_half if j == last else kin_full)
+    for c, (j0, j1) in enumerate(chunks):
+        e, done = pending
+        done.result()
+        if c + 1 < len(chunks):
+            pending = submit(c + 1)
+        for j in range(j0, j1):
+            psi = scipy.fft.ifft(psi, overwrite_x=True)
+            kernels.apply_quartic_phase(psi, u, e[j - j0], odd)
+            psi = scipy.fft.fft(psi, overwrite_x=True)
+            kernels.apply_phase_table(psi, kin_half if j == last else kin_full)
     return scipy.fft.ifft(psi, overwrite_x=True)
 
 
@@ -310,7 +340,8 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
             if row.rem > 0.0:
                 d, h = row.drive, row.rem
                 A, B = d.coeffs(np.array([row.m * dt + 0.5 * h]))
-                psi = _strang(psi, h, A, B, np.exp(-1j * h * d.C * x), u, k2)
+                psi = _strang(psi, h, A, B, np.exp(-1j * h * d.C * x), u, k2,
+                              pool, bufs)
             nrm = row.check(grid, row.drive.t_f, psi)
             final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
         except Exception as exc:  # the row's report is its error
@@ -325,36 +356,44 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     rows.sort(key=lambda r: -r.m)
     psi = np.array([states[r.index].values for r in rows], dtype=complex)
     odd = np.array([np.exp(-1j * dt * r.drive.C * x) for r in rows])
+    # each factor buffer holds about FACTOR_CHUNK_BYTES, at least one step
+    # of every row and no more steps than the longest block
+    size = max(1, len(rows)) * len(u)
+    per = min(FACTOR_CHUNK_BYTES // (16 * size), CHECK_STRIDE,
+              rows[0].m if rows else 0)
+    bufs = np.empty((2, max(1, per) * size), dtype=complex)
     s0 = 0
-    while rows:
-        # a block ends at the next checkpoint or where the shortest row's
-        # whole steps end, so no active row ends inside one
-        stop = (s0 // CHECK_STRIDE + 1) * CHECK_STRIDE
-        s1 = min(stop, rows[-1].m)
-        A, B, failed = _block_coeffs(rows, s0, s1, dt)
-        if s1 > s0 and len(rows) == 1:
-            # numpy's 1-D loops cost less per call than (1, n) ones
-            psi = _strang(psi[0], dt, A[:, 0, 0], B[:, 0, 0], odd[0],
-                          u, k2)[None]
-        elif s1 > s0:
-            psi = _strang(psi, dt, A, B, odd, u, k2)
-        keep = []
-        for slot, (r, state) in enumerate(zip(rows, psi)):
-            if slot in failed:
-                settle(r.index, failed[slot])
-            elif r.m == s1:
-                finish(r, state)
-            elif s1 < stop:
-                keep.append(slot)
-            else:  # a checkpoint
-                try:
-                    r.check(grid, s1 * dt, state)
+    # the helper thread is joined before the call returns or raises
+    with ThreadPoolExecutor(1) as pool:
+        while rows:
+            # a block ends at the next checkpoint or where the shortest
+            # row's whole steps end, so no active row ends inside one
+            stop = (s0 // CHECK_STRIDE + 1) * CHECK_STRIDE
+            s1 = min(stop, rows[-1].m)
+            A, B, failed = _block_coeffs(rows, s0, s1, dt)
+            if s1 > s0 and len(rows) == 1:
+                # numpy's 1-D loops cost less per call than (1, n) ones
+                psi = _strang(psi[0], dt, A[:, 0, 0], B[:, 0, 0], odd[0],
+                              u, k2, pool, bufs)[None]
+            elif s1 > s0:
+                psi = _strang(psi, dt, A, B, odd, u, k2, pool, bufs)
+            keep = []
+            for slot, (r, state) in enumerate(zip(rows, psi)):
+                if slot in failed:
+                    settle(r.index, failed[slot])
+                elif r.m == s1:
+                    finish(r, state)
+                elif s1 < stop:
                     keep.append(slot)
-                except TrapMorphError as exc:
-                    settle(r.index, exc)
-        rows = [rows[s] for s in keep]
-        psi, odd = psi[keep], odd[keep]
-        s0 = s1
+                else:  # a checkpoint
+                    try:
+                        r.check(grid, s1 * dt, state)
+                        keep.append(slot)
+                    except TrapMorphError as exc:
+                        settle(r.index, exc)
+            rows = [rows[s] for s in keep]
+            psi, odd = psi[keep], odd[keep]
+            s0 = s1
 
     steps = sum(r.steps for r in out if isinstance(r, PropagationReport))
     return StackReport(tuple(out), steps, time.perf_counter() - start)

@@ -67,6 +67,15 @@ def test_eigen_bad_inputs(capsys):
     for spec in ("A=nan,B=1", "A=1,B=-1", "A=1,A=2,B=0"):
         code, _, err = run(["eigen", "--inline", spec], capsys)
         assert code == 2 and err.startswith("usage error: bad --inline"), spec
+    # a trap with no bound states is refused before any eigensolve, for
+    # that reason and not the grid's size
+    for spec in ("A=-0.5,B=0", "A=0,B=0", "A=0,B=0,C=0.1", "A=-0.5,B=-0"):
+        code, _, err = run(["eigen", "--inline", spec], capsys)
+        assert code == 2 and err.startswith("usage error: bad --inline"), spec
+        assert "no bound states" in err and "grid" not in err, spec
+    # a double well and a quartic well with A = 0 are bound
+    for spec in ("A=-0.5,B=0.01", "A=0,B=0.01"):
+        assert run(["eigen", "--inline", spec], capsys)[0] == 0, spec
     # presets are retargeted to n >= 1 only; --inline holds unbiased traps
     for n in ("0", "-1"):
         code, _, err = run(["eigen", "--n", n], capsys)
@@ -79,8 +88,6 @@ def test_eigen_bad_inputs(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eigen", "--k", "2", "--cache-dir", "cache"])
     assert exc.value.code == 2
-    # unbounded potential is an input-domain error, not a crash
-    assert run(["eigen", "--inline", "A=-0.5,B=0"], capsys)[0] == 1
 
 
 # --- design -------------------------------------------------------------------

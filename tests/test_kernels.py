@@ -19,9 +19,9 @@ def test_kernels_modify_in_place():
     before = a.copy()
     x = np.linspace(-5.0, 5.0, 128)
     u = kernels.mirror_half(x * x)
-    odd = np.ones(128, dtype=complex)
-    kernels.apply_quartic_phase(a, u, np.empty(len(u), dtype=complex), odd,
-                                0.5, 0.0, 0.01)
+    e = np.empty(len(u), dtype=complex)
+    kernels.quartic_factors(e, u, 0.5, 0.0, 0.01)
+    kernels.apply_quartic_phase(a, u, e, np.ones(128, dtype=complex))
     assert not np.array_equal(a, before)
     # pure phase: magnitudes untouched
     assert_allclose(np.abs(a), np.abs(before), rtol=1e-15)
@@ -38,9 +38,16 @@ def test_folded_phase_matches_direct_exp(grid, folded):
     u = kernels.mirror_half(x * x)
     assert len(u) == (grid.n // 2 + 1 if folded else grid.n)
     A, B, C, dt = -0.25, 2e-3, 0.09375, 0.1
+    # two steps' factors in one call, the second step's coefficients doubled
+    e = np.empty((2, len(u)), dtype=complex)
+    kernels.quartic_factors(e, u, np.array([[A], [2 * A]]),
+                            np.array([[B], [2 * B]]), dt)
     psi = np.ones(grid.n, dtype=complex)
-    kernels.apply_quartic_phase(psi, u, np.empty(len(u), dtype=complex),
-                                np.exp(-1j * dt * C * x), A, B, dt)
+    kernels.apply_quartic_phase(psi, u, e[0], np.exp(-1j * dt * C * x))
     direct = np.exp(-1j * dt * (A * x**2 + B * x**4 + C * x))
     assert np.max(np.abs(psi - direct)) <= 1e-12
     assert np.max(np.abs(np.abs(psi) - 1.0)) <= 1e-14
+    psi = np.ones(grid.n, dtype=complex)
+    kernels.apply_quartic_phase(psi, u, e[1], np.ones(grid.n, dtype=complex))
+    direct = np.exp(-2j * dt * (A * x**2 + B * x**4))
+    assert np.max(np.abs(psi - direct)) <= 1e-12

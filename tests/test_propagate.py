@@ -1,6 +1,7 @@
 """Split-operator propagation: conservation laws, accuracy, reporting."""
 
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph import schedule
+from trapmorph import kernels, schedule
 from trapmorph.errors import ConfinementError, GridError, PropagationError
 
 HARMONIC = tm.PotentialParams(0.5, 0.0, 0.0)  # omega = 1
@@ -309,6 +310,83 @@ def test_stack_property(mini, mini_eigs, t_fs, stride):
         mp.setattr(sys.modules["trapmorph.propagate"], "CHECK_STRIDE", stride)
         stack = tm.propagate(states, drives, mini.dt)
         _assert_rows_match(stack, states, drives, mini.dt)
+
+
+# --- the even phase factors, computed a chunk ahead on a helper thread ------
+
+@pytest.mark.parametrize("t_fs", [(1.2345,), (1.2345, 0.5, 0.3003)])
+def test_factor_chunks_do_not_change_results(mini, mini_eigs, monkeypatch,
+                                             t_fs):
+    # one step per chunk, the default and one chunk per block give the
+    # same states bit for bit: one row, and three rows that cross the
+    # checkpoints every 40 steps, two of them ending on a partial step
+    prop = sys.modules["trapmorph.propagate"]
+    monkeypatch.setattr(prop, "CHECK_STRIDE", 40)
+    eig0, _ = mini_eigs
+    states = [tm.Wavefunction.from_eigenstate(eig0, j) for j in (2, 0, 2)]
+    drives = [tm.linear_schedule(mini.path, t_f) for t_f in t_fs]
+    runs = []
+    for chunk in (1, prop.FACTOR_CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(prop, "FACTOR_CHUNK_BYTES", chunk)
+        runs.append(tm.propagate(states[:len(t_fs)], drives, mini.dt).rows)
+    assert [r.steps for r in runs[0]] == [247, 100, 61][:len(t_fs)]
+    for rows in runs[1:]:
+        for got, want in zip(rows, runs[0]):
+            assert got.steps == want.steps
+            assert got.norm_drift == want.norm_drift
+            assert np.array_equal(got.final_state.values.view(float),
+                                  want.final_state.values.view(float))
+
+
+def test_factor_thread_is_joined_on_every_exit(harmonic_eig, mini,
+                                               monkeypatch):
+    # the helper thread is gone when propagate returns or raises: after a
+    # clean return, a row that raises, an on_row that raises and an error
+    # in the factor function itself, which reaches the caller
+    psi = tm.Wavefunction.from_eigenstate(harmonic_eig, 0)
+    drive = tm.Drive.static(HARMONIC, 1.0)
+    nan_drive = tm.Drive(lambda t: np.where(t < 0.5, 0.5, np.nan),
+                         np.zeros_like, 0.0, 1.0, 1.0)
+    before = threading.enumerate()
+    assert tm.propagate(psi, drive, 0.01).steps == 100
+    assert threading.enumerate() == before
+    with pytest.raises(PropagationError, match="norm drift nan"):
+        tm.propagate(psi, nan_drive, 0.01)
+    assert threading.enumerate() == before
+
+    during = []
+
+    def on_row(i, outcome):
+        during.append(threading.enumerate())
+        raise RuntimeError("on_row broke")
+
+    with pytest.raises(RuntimeError, match="on_row broke"):
+        tm.propagate([psi, psi], [drive, drive], 0.01, on_row=on_row)
+    assert threading.enumerate() == before
+    assert len(during) == 1 and len(during[0]) == len(before) + 1
+
+    calls = []
+    real = kernels.quartic_factors
+
+    def broken(*args):
+        # the first chunk succeeds; the second, computed while the
+        # first one's steps run, raises
+        calls.append(len(args[0]))
+        if len(calls) == 2:
+            raise RuntimeError("factors broke")
+        real(*args)
+
+    monkeypatch.setattr(sys.modules["trapmorph.propagate"],
+                        "FACTOR_CHUNK_BYTES", 1)
+    monkeypatch.setattr(kernels, "quartic_factors", broken)
+    with pytest.raises(RuntimeError, match="factors broke"):
+        tm.propagate([psi, psi], [drive, drive], 0.01)
+    assert calls == [1, 1] and threading.enumerate() == before
+    # a scan fails every row with it, as it does any error of the stack
+    calls.clear()
+    res = tm.run_scan(mini, "linear", [1.0, 2.0])
+    assert [r.error for r in res.rows] == ["RuntimeError: factors broke"] * 2
+    assert threading.enumerate() == before
 
 
 def test_schedule_convergence_in_dt(mini, mini_eigs, faquad_profile):
