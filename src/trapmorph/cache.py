@@ -15,8 +15,12 @@ about 2 000 eigensolves for both methods.
 Cache directory resolution: explicit argument, else $TRAPMORPH_CACHE_DIR,
 else ~/.cache/trapmorph.  Corrupt or stale-format entries raise CacheError
 from the low-level reader; the high-level entry point treats that as a
-miss and recomputes.  Whenever it writes entries it also deletes the
-entries that an older format version left in the same directory.
+miss and recomputes.  Whenever it writes an entry it also deletes the
+entries that an older format version left in the same directory, before
+it looks for the other method's entry, so an old one counts as absent.
+Version 4 has the layout of version 3; it was raised because the
+eigensolver's energies changed (Ritz values after a loose bisection), so
+no profile built by the earlier solver is served.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .schedule import (PROFILE_METHODS, PROFILE_NODES_DEFAULT,
                        build_profile, profile_column)
 
 MAGIC = b"TMPROF"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<6sH")  # magic and version: every format starts so
 _INPUTS = struct.Struct("<ddddddIIddIIQd")
 # path fields (A0 Af B0 kappa eps C n_target), method (index in
@@ -149,6 +153,12 @@ def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
         _write_entry(entry, profile, path, grid, n)
     except OSError:
         return profile  # cache is best-effort; the computed profile is still good
+    try:
+        # before the companions' check: an older version's entry of the
+        # other method has the same name, and would count as present
+        _remove_superseded(d)
+    except OSError:
+        pass
     for other in PROFILE_METHODS:
         companion = d / profile_key(path, grid, n, other)
         if other == method or companion.exists():
@@ -159,8 +169,4 @@ def cached_profile(path: DeformationPath, grid: SpatialGrid, n: int,
                          path, grid, n)
         except (OSError, TrapMorphError):
             pass  # a request for that method builds it again and reports why
-    try:
-        _remove_superseded(d)
-    except OSError:
-        pass
     return profile

@@ -44,8 +44,9 @@ class SpatialGrid:
         """Same domain, `factor` times more nodes."""
         return SpatialGrid(self.x_min, self.x_max, self.n * factor)
 
-    def boundary_mass(self, psi: np.ndarray) -> float:
-        """Probability in the outer 5% of the domain on each side."""
+    def boundary_mass(self, psi: np.ndarray):
+        """Probability in the outer 5% of the domain on each side: one
+        figure for a state, an array of them for states held as columns."""
         m = max(1, int(round(0.05 * self.n)))
         w = np.abs(psi) ** 2
-        return float((w[:m].sum() + w[-m:].sum()) * self.dx)
+        return (w[:m].sum(axis=0) + w[-m:].sum(axis=0)) * self.dx

@@ -58,7 +58,8 @@ class PotentialParams:
     def __call__(self, x):
         """Evaluate V on scalars or arrays."""
         x = np.asarray(x)
-        return self.A * x * x + self.B * x**4 + self.C * x
+        x2 = x * x
+        return self.A * x2 + self.B * (x2 * x2) + self.C * x
 
     def derivative(self, x):
         x = np.asarray(x)

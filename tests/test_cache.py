@@ -148,9 +148,11 @@ def test_writing_removes_superseded_entries(tmp_path, mini, fake_build,
     monkeypatch.setattr(cache, "_remove_superseded", counted_sweep)
     cache.cached_profile(mini.path, mini.grid, 2, directory=d)
     assert fake_build["n"] == 4
-    # one sweep, after both entries of the miss are written
+    # one sweep, after the requested entry is written and before the
+    # companion's check, which an older version's entry must not satisfy
     assert len(sweeps) == 1
-    assert {_entry(tmp_path, mini, m).name for m in ("faquad", "la")} <= sweeps[0]
+    assert _entry(tmp_path, mini).name in sweeps[0]
+    assert _entry(tmp_path, mini, "la").name not in sweeps[0]
     assert not superseded.exists()
     for name, blob in survivors.items():
         assert (tmp_path / name).read_bytes() == blob
@@ -164,7 +166,7 @@ def test_key_and_header_carry_refine_tolerance(tmp_path, mini, fake_build,
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
     fields = cache._HEADER.unpack(
         _entry(tmp_path, mini).read_bytes()[:cache._HEADER.size])
-    assert fields[1] == cache.VERSION == 3
+    assert fields[1] == cache.VERSION == 4
     assert fields[15] == QUADRATURE_REFINE_TOL
     key = cache.profile_key(mini.path, mini.grid, 2, "faquad")
     monkeypatch.setattr(cache, "QUADRATURE_REFINE_TOL", 0.02)
@@ -229,6 +231,56 @@ def test_version_2_entry_is_never_served_and_is_deleted(tmp_path, mini,
     assert not old.exists()
     assert sorted(tmp_path.iterdir()) == sorted(
         _entry(tmp_path, mini, m) for m in ("faquad", "la"))
+
+
+def _version_3_bytes(preset, method, count=300):
+    """An entry in today's layout, stamped with format version 3."""
+    buf = io.BytesIO()
+    lam = np.linspace(preset.path.A0, preset.path.Af, count)
+    cache.write_profile(buf, AdiabaticityProfile(lam, np.ones(count), method),
+                        preset.path, preset.grid, preset.n_target)
+    blob = bytearray(buf.getvalue())
+    blob[6:8] = struct.pack("<H", 3)
+    return bytes(blob)
+
+
+def test_version_3_entry_is_never_served_and_is_deleted(tmp_path, mini,
+                                                        fake_build):
+    # version 3 had today's layout and names; its profiles came from the
+    # full-precision bisection energies
+    old = _entry(tmp_path, mini)
+    old.write_bytes(_version_3_bytes(mini, "faquad"))
+    other = tm.mini_preset(3)
+    stale = _entry(tmp_path, other)
+    stale.write_bytes(_version_3_bytes(other, "faquad"))
+    with open(old, "rb") as fp:
+        with pytest.raises(CacheError):
+            cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
+    p = cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    assert fake_build["n"] == 2
+    assert len(p.lambda_grid) == 257
+    assert cache._PREFIX.unpack(old.read_bytes()[:8]) == (cache.MAGIC,
+                                                          cache.VERSION)
+    assert not stale.exists()
+    assert sorted(tmp_path.iterdir()) == sorted(
+        _entry(tmp_path, mini, m) for m in ("faquad", "la"))
+
+
+def test_old_version_companion_is_replaced_on_a_miss(tmp_path, mini,
+                                                     fake_build):
+    # the LA entry of an older version has the name of today's LA entry:
+    # the FAQUAD miss must write the companion, so LA is then a hit
+    companion = _entry(tmp_path, mini, "la")
+    companion.write_bytes(_version_3_bytes(mini, "la"))
+    cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
+    assert fake_build["n"] == 2
+    with open(companion, "rb") as fp:
+        assert len(cache.read_profile(fp, mini.path, mini.grid, 2,
+                                      "la").lambda_grid) == 257
+    la = cache.cached_profile(mini.path, mini.grid, 2, method="la",
+                              directory=str(tmp_path))
+    assert fake_build["n"] == 2
+    assert len(la.lambda_grid) == 257
 
 
 def test_swapped_lambdas_are_recomputed(tmp_path, mini, fake_build):

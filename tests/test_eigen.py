@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 import trapmorph as tm
 from trapmorph.eigen import levels_needed, matrix_element
@@ -31,6 +32,57 @@ def test_grid_refinement_convergence():
     e1 = tm.eigensolve(p, g1, 5).energies
     e2 = tm.eigensolve(p, g1.refined(2), 5).energies
     assert np.max(np.abs(e1 / e2 - 1.0)) < 1e-6
+
+
+def _tridiagonal(p, grid):
+    """Diagonal and off-diagonal of the finite-difference Hamiltonian."""
+    return (1.0 / grid.dx**2 + p(grid.x),
+            np.full(grid.n - 1, -0.5 / grid.dx**2))
+
+
+def _bisection_energies(p, grid, k, **kw):
+    d, e = _tridiagonal(p, grid)
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                            eigvals_only=True, **kw)
+
+
+def _residuals(eig, p):
+    """||T v - E v|| of each unit-norm eigenvector v."""
+    d, e = _tridiagonal(p, eig.grid)
+    v = eig.states * np.sqrt(eig.grid.dx)
+    tv = d[:, None] * v
+    tv[1:] += e[0] * v[:-1]
+    tv[:-1] += e[0] * v[1:]
+    return np.linalg.norm(tv - v * eig.energies, axis=0)
+
+
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+def test_ritz_energies_match_tight_bisection(mini, where):
+    # the loose bisection only places the levels; the Ritz values of its
+    # vectors must be as good as bisection run to the last bit (measured
+    # <= 6.2e-15 here, against 4.4e-14 for default-tolerance bisection)
+    a = mini.path.A0 + where * (mini.path.Af - mini.path.A0)
+    p = mini.path.params_at(a)
+    eig = tm.eigensolve(p, mini.grid, mini.k, refine=False)
+    exact = _bisection_energies(p, mini.grid, mini.k, tol=1e-300)
+    assert np.max(np.abs(eig.energies - exact)) <= 1e-13
+    assert np.max(_residuals(eig, p)) <= 1e-12
+
+
+def test_ritz_energies_at_beryllium_endpoints_no_worse():
+    # E_0 = -28 414 at A0: an ulp there is 3.6e-12, and default-tolerance
+    # bisection, which gave the energies before, is off by 2.2e-11 at A0
+    # and 3.9e-11 at Af
+    be = tm.beryllium_preset()
+    for p in (be.path.initial, be.path.final):
+        eig = tm.eigensolve(p, be.grid, be.k, refine=False)
+        exact = _bisection_energies(p, be.grid, be.k, tol=1e-300)
+        before = _bisection_energies(p, be.grid, be.k)
+        err = np.max(np.abs(eig.energies - exact))
+        assert err <= np.max(np.abs(before - exact))
+        # a few ulps of the deepest level (measured 3.6e-12 at A0)
+        assert np.max(_residuals(eig, p)) <= 1e-13 + 1e-15 * np.max(
+            np.abs(exact))
 
 
 def test_orthonormality(mini, mini_eigs):
