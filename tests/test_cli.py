@@ -266,10 +266,12 @@ def test_scan_plot_script(tmp_path, capsys):
     assert out_csv in open(gp).read()
 
 
-def test_scan_demux(capsys, profile_cache):
-    # an off-grid t_f runs, and prints, rounded to whole steps (8217 of
-    # 0.005), so the backward run retraces the forward one
-    for tf, ran in (("90", "90"), ("41.0837", "41.085")):
+def test_scan_demux(capsys, mini, profile_cache):
+    # an off-grid t_f runs, and prints, rounded to whole steps of the
+    # preset's dt, so the backward run retraces the forward one
+    off_grid = "%.12g" % scans.on_step_grid(41.0837, mini.dt)
+    assert off_grid != "41.0837"
+    for tf, ran in (("90", "90"), ("41.0837", off_grid)):
         code, out, _ = run(["scan", "--preset", "mini", "--method", "la",
                             "--demux", "--tf", tf, "--cache-dir",
                             profile_cache], capsys)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import trapmorph as tm
-from trapmorph import kernels, schedule
+from trapmorph import kernels, scans, schedule
 from trapmorph.errors import ConfinementError, GridError, PropagationError
 
 HARMONIC = tm.PotentialParams(0.5, 0.0, 0.0)  # omega = 1
@@ -104,13 +104,13 @@ def test_partial_final_step_matches_reference(mini, mini_eigs,
     eig0, eigf = mini_eigs
     psi0 = tm.Wavefunction.from_eigenstate(eig0, 2)
     target = tm.Wavefunction.from_eigenstate(eigf, 2)
-    t_f = 12.3457
+    t_f, dt = 12.3457, 0.005
     sched = tm.invert_profile(faquad_profile, mini.path, t_f)
-    rep = tm.propagate(psi0, sched, mini.dt)
+    rep = tm.propagate(psi0, sched, dt)
     assert rep.steps == 2470
     dx = mini.grid.dx
     psi_ref = ref.strang(psi0.values, mini.grid.x, sched.times,
-                         sched.A_values, mini.path, mini.dt, t_f)
+                         sched.A_values, mini.path, dt, t_f)
     assert abs(ref.norm(psi_ref, dx) - 1.0) <= 1e-9
     assert 1.0 - ref.overlap(psi_ref, rep.final_state.values, dx) <= 1e-9
     F = tm.fidelity(rep.final_state, target)
@@ -127,12 +127,12 @@ def test_matches_reference_on_an_asymmetric_grid(mini, faquad_profile,
     eigf = tm.eigensolve(mini.path.final, grid, mini.k, refine=False)
     psi0 = tm.Wavefunction.from_eigenstate(eig0, 2)
     target = tm.Wavefunction.from_eigenstate(eigf, 2)
-    t_f = 25.0123
+    t_f, dt = 25.0123, 0.005
     sched = tm.invert_profile(faquad_profile, mini.path, t_f)
-    rep = tm.propagate(psi0, sched, mini.dt)
+    rep = tm.propagate(psi0, sched, dt)
     assert rep.steps == 5003 > sys.modules["trapmorph.propagate"].CHECK_STRIDE
     psi_ref = ref.strang(psi0.values, grid.x, sched.times, sched.A_values,
-                         mini.path, mini.dt, t_f)
+                         mini.path, dt, t_f)
     F = tm.fidelity(rep.final_state, target)
     assert abs(F - ref.overlap(target.values, psi_ref, grid.dx)) <= 1e-10
     assert 1.0 - ref.overlap(psi_ref, rep.final_state.values, grid.dx) <= 1e-10
@@ -230,15 +230,16 @@ def test_stack_matches_one_row_calls(mini, mini_eigs, faquad_profile,
         drives += [sched, sched]
     states += [up[0], down]
     drives += [fwd, fwd.reversed()]
-    stack = tm.propagate(states, drives, mini.dt)
+    dt = 0.005
+    stack = tm.propagate(states, drives, dt)
     assert [r.steps for r in stack.rows[:8]] == [100, 100, 247, 247,
                                                  1, 1, 200, 200]
-    _assert_rows_match(stack, states, drives, mini.dt)
+    _assert_rows_match(stack, states, drives, dt)
     ref = perfbench_module("reference")
     dx = mini.grid.dx
     for got, psi0, sched in zip(stack.rows, states, drives):
         psi_ref = ref.strang(psi0.values, mini.grid.x, sched.times,
-                             sched.A_values, mini.path, mini.dt, sched.t_f)
+                             sched.A_values, mini.path, dt, sched.t_f)
         F = tm.fidelity(got.final_state, psi0)
         assert abs(F - ref.overlap(psi0.values, psi_ref, dx)) <= 1e-10
         assert 1.0 - ref.overlap(psi_ref, got.final_state.values, dx) <= 1e-10
@@ -328,7 +329,7 @@ def test_factor_chunks_do_not_change_results(mini, mini_eigs, monkeypatch,
     runs = []
     for chunk in (1, prop.FACTOR_CHUNK_BYTES, 1 << 40):
         monkeypatch.setattr(prop, "FACTOR_CHUNK_BYTES", chunk)
-        runs.append(tm.propagate(states[:len(t_fs)], drives, mini.dt).rows)
+        runs.append(tm.propagate(states[:len(t_fs)], drives, 0.005).rows)
     assert [r.steps for r in runs[0]] == [247, 100, 61][:len(t_fs)]
     for rows in runs[1:]:
         for got, want in zip(rows, runs[0]):
@@ -425,6 +426,28 @@ def test_error_budget(mini, mini_eigs, faquad_profile, monkeypatch):
           % (F0, d_dt, d_profile, len(faquad_profile.lambda_grid),
              len(tight.lambda_grid), d_grid))
     assert d_dt <= 1e-5 and d_profile <= 1e-5 and d_grid <= 2e-3
+
+
+def test_mini_step_meets_budget(mini, mini_eigs, faquad_profile, tf_grid):
+    # the preset's step against half of it, over the short durations of
+    # the default FAQUAD scan, where the ramp is fastest; criterion 6's
+    # demux duration stays a whole number of steps
+    eig0, eigf = mini_eigs
+    psi0 = tm.Wavefunction.from_eigenstate(eig0, mini.n_target)
+    target = tm.Wavefunction.from_eigenstate(eigf, mini.n_target)
+    scheds = [tm.invert_profile(faquad_profile, mini.path, t_f)
+              for t_f in tf_grid[:6]]
+
+    def F(dt):
+        stack = tm.propagate([psi0] * len(scheds), scheds, dt)
+        return np.array([tm.fidelity(r.final_state, target)
+                         for r in stack.rows])
+
+    d_dt = np.max(np.abs(F(mini.dt / 2) - F(mini.dt)))
+    print("mini step: max |dF| over t_f %.4g ... %.4g at dt %g vs %g: %.1e"
+          % (tf_grid[0], tf_grid[5], mini.dt, mini.dt / 2, d_dt))
+    assert d_dt <= 1e-5
+    assert scans.on_step_grid(150.0, mini.dt) == 150.0
 
 
 def test_drive_adapters(mini, faquad_profile):

@@ -181,8 +181,8 @@ def test_progress_callback_streams_rows(mini):
 
 
 def test_progress_sees_a_row_while_longer_rows_still_step(mini, monkeypatch):
-    # count the stack's steps: the 1-unit row retires after 200 of the
-    # 600 steps that the 3-unit row takes
+    # count the stack's steps: the 1-unit row retires after a third of
+    # the steps that the 3-unit row takes
     steps = []
     quartic = kernels.apply_quartic_phase
 
@@ -195,7 +195,8 @@ def test_progress_sees_a_row_while_longer_rows_still_step(mini, monkeypatch):
     result = tm.run_scan(mini, "linear", [3.0, 1.0],
                          progress=lambda row: at_progress.append(
                              (row.t_f, len(steps))))
-    assert at_progress == [(1.0, 200), (3.0, 600)] and len(steps) == 600
+    short, long = (round(t / mini.dt) for t in (1.0, 3.0))
+    assert at_progress == [(1.0, short), (3.0, long)] and len(steps) == long
     assert [r.t_f for r in result.rows] == [1.0, 3.0]
 
 
