@@ -11,8 +11,8 @@ match bisection run to the last bit within ~1e-14 on the mini preset, in
 about two thirds of the time of a full-precision bisection, and the
 rotation that diagonalizes the projection separates levels closer than
 the bisection tolerance.  Energies are optionally sharpened by two rounds
-of Richardson extrapolation (energies alone, by full-precision bisection,
-at N, 2N, 4N eliminate the dx^2 and dx^4 error terms), which is what lets
+of Richardson extrapolation (the Ritz energies of the same solve at N, 2N,
+4N eliminate the dx^2 and dx^4 error terms), which is what lets
 a 1024-point grid deliver ~1e-11 relative accuracy on oscillator levels
 where the raw finite-difference error is ~1e-3.  Eigenvectors are kept
 from the base grid - inter-state matrix elements and overlaps only ever
@@ -61,17 +61,12 @@ class EigenSet:
         return (self.states.T @ self.states) * self.grid.dx
 
 
-def _tridiag_eigh(V: np.ndarray, dx: float, k: int,
-                  eigvals_only: bool = False):
+def _tridiag_eigh(V: np.ndarray, dx: float, k: int):
     """Lowest k eigenpairs of the finite-difference Hamiltonian T with
-    potential samples V, as Ritz pairs (see the module docstring); with
-    eigvals_only=True, its lowest k energies from full-precision bisection.
-    """
+    potential samples V, as Ritz pairs (see the module docstring)."""
     d = 1.0 / dx**2 + V
     e = np.full(len(V) - 1, -0.5 / dx**2)
     lowest = dict(select="i", select_range=(0, k - 1))
-    if eigvals_only:
-        return eigh_tridiagonal(d, e, eigvals_only=True, **lowest)
     est, v = eigh_tridiagonal(d, e, tol=BISECTION_TOL, **lowest)
     # h = v^T (T - s) v, with the kinetic part summed by parts (zero
     # beyond both ends) and the potential taken from the lowest estimate
@@ -102,11 +97,12 @@ def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
     """Lowest k eigenpairs of -(1/2) psi'' + V psi = E psi on `grid`.
 
     refine=True replaces the raw finite-difference energies by their
-    double Richardson extrapolation over grids of n, 2n and 4n points
-    (eigenvectors stay on the base grid).  The confinement guard always
-    runs: ConfinementError is raised when any returned state holds more
-    than 1e-8 of its probability in the outer 5% of the domain, or when
-    an energy reaches the potential at the grid edge.
+    double Richardson extrapolation over the Ritz energies of grids of n,
+    2n and 4n points (eigenvectors stay on the base grid).  The
+    confinement guard always runs: ConfinementError is raised when any
+    returned state holds more than 1e-8 of its probability in the outer
+    5% of the domain, or when an energy reaches the potential at the
+    grid edge.
     """
     if not 1 <= k <= max_levels(grid):
         raise GridError("k = %d outside 1..%d for %d grid points"
@@ -119,8 +115,7 @@ def eigensolve(p: PotentialParams, grid: SpatialGrid, k: int,
     states = _fix_signs(v / np.sqrt(dx))
 
     if refine:
-        w2, w4 = (_tridiag_eigh(np.asarray(p(g.x), float), g.dx, k,
-                                eigvals_only=True)
+        w2, w4 = (_tridiag_eigh(np.asarray(p(g.x), float), g.dx, k)[0]
                   for g in (grid.refined(2), grid.refined(4)))
         w = (64.0 * w4 - 20.0 * w2 + w) / 45.0
 

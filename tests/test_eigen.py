@@ -46,6 +46,28 @@ def _bisection_energies(p, grid, k, **kw):
                             eigvals_only=True, **kw)
 
 
+_HARMONIC = tm.PotentialParams(0.5, 0.0, 0.0)
+_MINI, _BE = tm.mini_preset(), tm.beryllium_preset()
+
+
+@pytest.mark.parametrize("p, grid, k", [
+    (_HARMONIC, tm.SpatialGrid(-10.0, 10.0, 256), 6),
+    (_HARMONIC, tm.SpatialGrid(-20.0, 20.0, 512), 6),
+    (_MINI.path.initial, _MINI.grid, 6),
+    (_BE.path.initial, _BE.grid, 7),
+], ids=["harmonic-256", "harmonic-512", "mini", "beryllium"])
+def test_refined_energies_match_bisection_extrapolation(p, grid, k):
+    # refinement extrapolates Ritz energies on the 2n- and 4n-point grids;
+    # it used to take them from eigenvalues-only bisection there.  Largest
+    # relative change measured: 1.1e-12 (harmonic-256), 1.6e-13
+    # (harmonic-512), 1.0e-13 (mini), 2.2e-15 (beryllium)
+    e1 = tm.eigensolve(p, grid, k, refine=False).energies
+    e2, e4 = (_bisection_energies(p, grid.refined(m), k) for m in (2, 4))
+    old = (64.0 * e4 - 20.0 * e2 + e1) / 45.0
+    assert_allclose(tm.eigensolve(p, grid, k, refine=True).energies, old,
+                    rtol=2e-12, atol=0.0)
+
+
 def _residuals(eig, p):
     """||T v - E v|| of each unit-norm eigenvector v."""
     d, e = _tridiagonal(p, eig.grid)
