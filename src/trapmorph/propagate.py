@@ -27,10 +27,11 @@ evaluated per block.
 The transforms are `scipy.fftpack` calls that overwrite the state buffer
 the call owns: the same pocketfft transforms as `scipy.fft`, without its
 backend dispatch (about 2 us a call, a large share of a step at
-n = 512).  The potential phase is split in two: the odd bias factor
-exp(-i h C x) is a table per row, built once per step length h, and
-the even factor exp(-i h (A x^2 + B x^4)) is evaluated with cos/sin on
-one mirror half of a grid symmetric about 0 (`kernels.mirror_half`).
+n = 512).  `_strang` builds every table of its step length h: the
+kinetic kicks, the odd bias factor exp(-i h C x) per row, and buffers
+for the even factor exp(-i h (A x^2 + B x^4)), which is evaluated with
+cos/sin on one mirror half of a grid symmetric about 0
+(`kernels.mirror_half`).
 The even factors depend only on the block's midpoint coefficients, not
 on the state, so one helper thread, open for the length of the call,
 computes them a chunk of about FACTOR_CHUNK_BYTES ahead, into one of
@@ -234,25 +235,33 @@ def propagate(psi0, drive, dt: float, on_row=None):
     return out
 
 
-def _strang(psi, h: float, A, B, odd, u, k2, pool, bufs):
-    """len(A) >= 1 Strang steps of length h, from position space back to
-    position space: the half kicks of adjacent steps are merged, so the
-    call costs two transforms per step and two more.
+def _strang(psi, h: float, A, B, C, grid: SpatialGrid, pool):
+    """len(A) >= 1 Strang steps of length h of the stack psi (rows, n),
+    from position space back to position space: the half kicks of
+    adjacent steps are merged, so the call costs two transforms per step
+    and two more.
 
-    psi is one state (n,) or a stack (rows, n), and the call may overwrite
-    its buffer; step j's midpoint coefficients are A[j], B[j] (scalars, or
-    (rows, 1) for a stack) and odd is the bias factor exp(-i h C x) per
-    row.  The even factors of a chunk of steps are computed on pool's
-    thread into one of the two rows of bufs while the steps of the chunk
-    before run here.  Returns the last transform's result, which
-    need not be psi."""
+    Step j's midpoint coefficients are A[j], B[j], one per row; C holds
+    each row's bias coefficient.  Builds every table h sets: the kinetic
+    kicks, each row's bias factor exp(-i h C x), and two buffers of
+    about FACTOR_CHUNK_BYTES (at most len(A) steps) into which pool's
+    thread computes a chunk's even factors while the chunk before steps
+    here.  May overwrite psi's buffer; returns the last transform's
+    result, which need not be psi."""
+    x = grid.x
+    u = kernels.mirror_half(x * x)
+    k2 = grid.wavenumbers**2
     kin_half = np.exp(-0.25j * h * k2)
     kin_full = np.exp(-0.5j * h * k2)
-    shape = psi.shape[:-1] + u.shape  # one step's even factors
-    A = np.reshape(A, (len(A),) + psi.shape[:-1] + (1,))
+    odd = np.array([np.exp(-1j * h * c * x) for c in C])
+    A = np.reshape(A, (len(A), len(psi), 1))
     B = np.reshape(B, A.shape)
+    if len(psi) == 1:  # 1-D loops cost less per call than (1, n) ones
+        psi, A, B, odd = psi[0], A[:, 0], B[:, 0], odd[0]
+    shape = psi.shape[:-1] + u.shape  # one step's even factors
     size = math.prod(shape)
-    per = len(bufs[0]) // size
+    per = max(1, min(FACTOR_CHUNK_BYTES // (16 * size), len(A)))
+    bufs = np.empty((2, per * size), dtype=complex)
     chunks = [(j, min(j + per, len(A))) for j in range(0, len(A), per)]
 
     def submit(c):
@@ -275,7 +284,7 @@ def _strang(psi, h: float, A, B, odd, u, k2, pool, bufs):
             kernels.apply_quartic_phase(psi, u, e[j - j0], odd)
             psi = scipy.fftpack.fft(psi, overwrite_x=True)
             kernels.apply_phase_table(psi, kin_half if j == last else kin_full)
-    return scipy.fftpack.ifft(psi, overwrite_x=True)
+    return scipy.fftpack.ifft(psi, overwrite_x=True).reshape(-1, grid.n)
 
 
 def _block_coeffs(rows, s0: int, s1: int, dt: float):
@@ -311,9 +320,6 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise GridError("a stack's states must share one grid")
-    x = grid.x
-    u = kernels.mirror_half(x * x)
-    k2 = grid.wavenumbers**2
 
     rows = []
     for i, (psi0, obj) in enumerate(zip(states, drives)):
@@ -342,8 +348,7 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
             if row.rem > 0.0:
                 d, h = row.drive, row.rem
                 A, B = d.coeffs(np.array([row.m * dt + 0.5 * h]))
-                psi = _strang(psi, h, A, B, np.exp(-1j * h * d.C * x), u, k2,
-                              pool, bufs)
+                [psi] = _strang(psi[None], h, A, B, [d.C], grid, pool)
             nrm = row.check(grid, row.drive.t_f, psi)
             final = Wavefunction(grid=grid, values=psi / math.sqrt(nrm))
         except Exception as exc:  # the row's report is its error
@@ -357,13 +362,6 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
     # the active rows are always a prefix: the longest first
     rows.sort(key=lambda r: -r.m)
     psi = np.array([states[r.index].values for r in rows], dtype=complex)
-    odd = np.array([np.exp(-1j * dt * r.drive.C * x) for r in rows])
-    # each factor buffer holds about FACTOR_CHUNK_BYTES, at least one step
-    # of every row and no more steps than the longest block
-    size = max(1, len(rows)) * len(u)
-    per = min(FACTOR_CHUNK_BYTES // (16 * size), CHECK_STRIDE,
-              rows[0].m if rows else 0)
-    bufs = np.empty((2, max(1, per) * size), dtype=complex)
     s0 = 0
     # the helper thread is joined before the call returns or raises
     with ThreadPoolExecutor(1) as pool:
@@ -373,12 +371,9 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
             stop = (s0 // CHECK_STRIDE + 1) * CHECK_STRIDE
             s1 = min(stop, rows[-1].m)
             A, B, failed = _block_coeffs(rows, s0, s1, dt)
-            if s1 > s0 and len(rows) == 1:
-                # numpy's 1-D loops cost less per call than (1, n) ones
-                psi = _strang(psi[0], dt, A[:, 0, 0], B[:, 0, 0], odd[0],
-                              u, k2, pool, bufs)[None]
-            elif s1 > s0:
-                psi = _strang(psi, dt, A, B, odd, u, k2, pool, bufs)
+            if s1 > s0:
+                psi = _strang(psi, dt, A, B, [r.drive.C for r in rows], grid,
+                              pool)
             keep = []
             for slot, (r, state) in enumerate(zip(rows, psi)):
                 if slot in failed:
@@ -394,7 +389,7 @@ def _propagate_stack(states, drives, dt: float, on_row=None) -> StackReport:
                     except TrapMorphError as exc:
                         settle(r.index, exc)
             rows = [rows[s] for s in keep]
-            psi, odd = psi[keep], odd[keep]
+            psi = psi[keep]
             s0 = s1
 
     steps = sum(r.steps for r in out if isinstance(r, PropagationReport))

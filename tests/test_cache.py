@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -89,16 +90,18 @@ def _assert_recomputed(tmp_path, mini, fake_build, builds_before):
     assert np.array_equal(p.lambda_grid, want)
 
 
-def _assert_refused_and_rebuilt(tmp_path, mini, fake_build, corrupt):
+def _assert_refused_and_rebuilt(tmp_path, mini, fake_build, corrupt,
+                                match=None):
     """Write an entry, let `corrupt` edit its bytes in place, then require
-    read_profile to refuse it and cached_profile to rebuild it."""
+    read_profile to refuse it (with a message matching `match`, if given)
+    and cached_profile to rebuild it."""
     cache.cached_profile(mini.path, mini.grid, 2, directory=str(tmp_path))
     entry = _entry(tmp_path, mini)
     blob = bytearray(entry.read_bytes())
     corrupt(blob)
     entry.write_bytes(bytes(blob))
     with open(entry, "rb") as fp:
-        with pytest.raises(CacheError):
+        with pytest.raises(CacheError, match=match):
             cache.read_profile(fp, mini.path, mini.grid, 2, "faquad")
     _assert_recomputed(tmp_path, mini, fake_build, 2)
 
@@ -297,6 +300,22 @@ def test_flipped_g_bit_is_recomputed(tmp_path, mini, fake_build):
         blob[cache._HEADER.size + 8 * 257 + 8 * 100] ^= 0x01
 
     _assert_refused_and_rebuilt(tmp_path, mini, fake_build, flip)
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0])
+def test_checksummed_invalid_profile_is_recomputed(tmp_path, mini, fake_build,
+                                                   g):
+    # g[100] <= 0 under a checksum rewritten to match: the read passes
+    # every byte check and refuses the profile itself
+    def write_g(blob):
+        body = cache._HEADER.size
+        struct.pack_into("<d", blob, body + 8 * 257 + 8 * 100, g)
+        cache._TAIL.pack_into(blob, body - cache._TAIL.size, 257,
+                              zlib.crc32(blob[body:]))
+
+    _assert_refused_and_rebuilt(tmp_path, mini, fake_build, write_g,
+                                match="^cache entry holds an invalid profile: "
+                                      "adiabaticity integrand vanishes")
 
 
 # tmp_path and fake_build are shared by the examples on purpose: every

@@ -256,6 +256,29 @@ def test_scan_tf_range(tmp_path, capsys):
     assert code == 2 and "usage error:" in err
 
 
+def test_scan_tf_range_refusals_and_default_grid(tmp_path, capsys,
+                                                 monkeypatch, mini):
+    def never(*args, **kwargs):
+        raise AssertionError("run_scan called")
+
+    monkeypatch.setattr(cli, "run_scan", never)
+    out_csv = tmp_path / "r.csv"
+    order = "--tf-range needs 0 < START < STOP and COUNT >= 2"
+    for spec, message in (("10:20:3.5", "--tf-range COUNT must be an integer"),
+                          ("10:20:x", "--tf-range COUNT must be an integer"),
+                          ("20:10:3", order), ("10:10:3", order),
+                          ("10:20:1", order)):
+        code, _, err = run(["scan", "--preset", "mini", "--method", "linear",
+                            "--tf-range", spec, "--out", str(out_csv)], capsys)
+        assert code == 2 and err == "usage error: %s\n" % message, spec
+    assert not out_csv.exists()
+    # neither --tf nor --tf-range: the preset's default grid
+    args = cli._build_parser()[0].parse_args(["scan", "--preset", "mini"])
+    assert (args.tf, args.tf_range) == (None, None)
+    assert_allclose(cli._parse_tf_spec(args, mini),
+                    scans.default_tf_grid(mini), rtol=0, atol=0)
+
+
 def test_scan_plot_script(tmp_path, capsys):
     out_csv = str(tmp_path / "p.csv")
     gp = str(tmp_path / "p.gp")
@@ -300,6 +323,19 @@ def test_scan_demux_refuses_flags_it_ignores(tmp_path, monkeypatch, capsys,
     assert err == ("usage error: --demux prints its result and takes no %s\n"
                    % flag[0])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_demux_row_failure_exits_1(capsys, monkeypatch):
+    # a failed row of the pair is one error line, not a traceback
+    def both_fail(states, drives, dt, on_row=None):
+        return tm.StackReport((PropagationError("synthetic failure"),) * 2,
+                              0, 0.0)
+
+    monkeypatch.setattr(scans, "propagate", both_fail)
+    code, out, err = run(["scan", "--preset", "mini", "--method", "linear",
+                          "--demux", "--tf", "15"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: synthetic failure\n"
 
 
 def test_scan_superposition_columns(tmp_path, capsys):

@@ -253,6 +253,33 @@ def test_demultiplexing_le_unity_and_adiabatic(mini, profile_cache):
     assert abs(F_fwd - F_bwd) < 1e-6
 
 
+def test_demultiplexing_raises_a_failed_rows_error(mini, monkeypatch):
+    # the backward row's coefficient turns NaN from t = 6 on, after a
+    # forward row that succeeds: the pair raises the error a one-row
+    # propagate of that row raises
+    real = scans.propagate
+    backward = []
+
+    def backward_fails(states, drives, dt, on_row=None):
+        rev = drives[1]
+        bad = tm.Drive(lambda t: np.where(t < 6.0, rev.A_of_t(t), np.nan),
+                       rev.path.beta, rev.path.C, rev.t_f,
+                       tm.Drive.from_schedule(rev).omega_max)
+        backward.append((states[1], bad))
+        stack = real(states, [drives[0], bad], dt, on_row)
+        assert not isinstance(stack.rows[0], Exception)
+        return stack
+
+    monkeypatch.setattr(scans, "propagate", backward_fails)
+    with pytest.raises(PropagationError) as pair:
+        tm.run_demultiplexing(mini, "linear", 15.0)
+    [(psi0, bad)] = backward
+    with pytest.raises(PropagationError) as alone:
+        real(psi0, bad, mini.dt)
+    assert str(pair.value) == str(alone.value)
+    assert str(pair.value).startswith("norm drift nan at t = ")
+
+
 # --- CSV ----------------------------------------------------------------
 
 def test_csv_round_trip(faquad_scan):
